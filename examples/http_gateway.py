@@ -10,8 +10,9 @@ three kinds of client hit it:
 * raw ``urllib`` (standing in for curl / a browser / a dashboard) walks
   ``/health``, ``/catalog`` and ``/stats?format=prom``;
 * :func:`repro.open_http` reads arrays lazily through
-  :class:`repro.gateway.HTTPArray` — the same surface as ``repro.connect()``,
-  bit-for-bit the same bytes;
+  :class:`repro.serve.RemoteArray` — the same view class ``repro.connect()``
+  returns, itself a :class:`repro.array.CompressedArray`, bit-for-bit the
+  same bytes;
 * a deliberate mistake shows the typed error envelope: the daemon's
   ``KeyError`` crosses HTTP with its message intact.
 
@@ -68,21 +69,21 @@ def main() -> None:
         with RouterDaemon(shard_map) as router, GatewayDaemon(
             router.address, pool_size=4
         ) as gateway:
-            gateway.start()
             base = f"http://{gateway.address}"
             print(f"gateway for {len(SHARDS)} shards at {base}/")
 
             # 3. Plain HTTP — what curl or a dashboard would see.
             health = json.load(urllib.request.urlopen(f"{base}/health"))
-            print(f"/health: {health['n_entries']} entries, fields {health['fields']}")
+            print(f"/health: ok={health['ok']}, degraded shards {health['degraded']}")
             catalog = json.load(urllib.request.urlopen(f"{base}/catalog"))
             print(f"/catalog: {len(catalog['entries'])} rows")
 
             # 4. The lazy array surface, now over HTTP.  Bit-for-bit parity
             #    with the local store is the gateway fuzz tier's contract.
-            remote = repro.open_http(gateway.address)
+            remote = repro.open_http(f"{base}/")  # the gateway's banner form
             step = max(e.step for e in single.entries())
             via_http = remote[field, step]
+            assert isinstance(via_http, repro.array.CompressedArray)
             local = single.array(field, step)
             plane = via_http[:, :, 16]
             assert np.array_equal(plane, np.asarray(local)[:, :, 16])

@@ -137,8 +137,9 @@ def connect(addr, timeout: float = 30.0, retries: int = 0, backoff: float = 0.05
 
     Returns a :class:`repro.serve.RemoteStore` whose surface mirrors the
     read side of a local store: ``remote[field, step]`` is a lazy
-    :class:`~repro.serve.RemoteArray` view, indexing round-trips through the
-    daemon's shared block cache, and errors keep their local types.  The
+    :class:`~repro.serve.RemoteArray` — a :class:`repro.array.CompressedArray`
+    whose indexing round-trips through the daemon's shared block cache — and
+    errors keep their local types.  The
     address may equally be a shard router (``repro shard serve``) — the
     wire surface is identical.  ``retries``/``backoff`` add bounded
     exponential-backoff retry on connection refusal, for clients racing a
@@ -152,11 +153,13 @@ def connect(addr, timeout: float = 30.0, retries: int = 0, backoff: float = 0.05
 def open_http(addr, timeout: float = 30.0):
     """Connect to an HTTP gateway (``repro gateway``) at ``"host:port"``.
 
-    Returns a :class:`repro.gateway.HTTPStore` — the same lazy remote-array
-    surface as :func:`connect`, over plain HTTP/1.1, so it works through
-    anything that forwards HTTP.  ``store[field, step]`` is a lazy
-    :class:`~repro.gateway.HTTPArray`; indexing moves raw ndarray bytes with
-    the geometry in response headers, and error envelopes re-raise with
+    The gateway's banner form ``"http://host:port/"`` is accepted too.
+    Returns a :class:`repro.gateway.HTTPStore` — the same remote store as
+    :func:`connect`, over plain HTTP/1.1, so it works through anything that
+    forwards HTTP.  ``store[field, step]`` is the same lazy
+    :class:`~repro.serve.RemoteArray` view (a
+    :class:`repro.array.CompressedArray`); indexing moves raw ndarray bytes
+    with the geometry in response headers, and error envelopes re-raise with
     their original types and messages.
     """
     from repro.gateway import HTTPStore

@@ -24,8 +24,11 @@ Every classic read path is an adapter over this surface:
 ``Store.read_roi`` / ``ContainerReader.read_roi`` delegate to views,
 ``repro.decompress`` returns one, and the vis helpers accept them.  A view
 query (source token, level, compiled index) is exactly the request shape the
-read daemon (:mod:`repro.serve`) ships over its wire protocol, which is why
-:class:`repro.serve.RemoteArray` can mirror this surface one-to-one.
+read daemon (:mod:`repro.serve`) ships over its wire protocol.  This is the
+only view class: :class:`repro.serve.RemoteArray` — what ``repro.connect``
+and ``repro.open_http`` views are — subclasses it, inheriting geometry,
+levels, ``read_roi`` clamping and ``stats``, and overrides only the two read
+entry points to ship the index or bbox to a server.
 """
 
 from repro.array.cache import BlockCache

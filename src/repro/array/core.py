@@ -30,7 +30,11 @@ Block sources implement a small duck-typed protocol::
     stats                -> dict of decode counters
 
 which is exactly the request shape the read daemon (:mod:`repro.serve`)
-serialises — its per-request accounting wraps this protocol unchanged.
+serialises — its per-request accounting wraps this protocol unchanged.  The
+client side of that wire needs only the geometry half
+(``levels``/``level_shape``/``n_blocks``/``stats``):
+:class:`repro.serve.RemoteArray` subclasses this view and overrides the two
+read entry points to ship the index or bbox instead.
 """
 
 from __future__ import annotations
@@ -312,7 +316,7 @@ class CompressedArray:
 
     def level(self, k: int) -> "CompressedArray":
         """Sibling view of level ``k`` sharing the source and block cache."""
-        return CompressedArray(
+        return type(self)(
             self._source, level=k, fill_value=self.fill_value, cache=self.cache
         )
 
@@ -405,7 +409,7 @@ class CompressedArray:
 
     def __repr__(self) -> str:
         return (
-            f"CompressedArray(shape={self.shape}, dtype={self.dtype}, "
+            f"{type(self).__name__}(shape={self.shape}, dtype={self.dtype}, "
             f"level={self._level} of {list(self.levels)}, "
             f"blocks={self.n_blocks}, fill_value={self.fill_value})"
         )

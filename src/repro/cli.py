@@ -86,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ptw_rel (of the peak magnitude) or psnr (dB target)",
     )
     comp.add_argument(
-        "--relative",
-        action="store_true",
-        help="deprecated alias for --mode rel",
-    )
-    comp.add_argument(
         "--block-size", type=int, default=None, help="SZ2 block size (ignored by other codecs)"
     )
     comp.add_argument(
@@ -570,10 +565,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if args.codec == "sz2" and args.block_size:
         options["block_size"] = int(args.block_size)
     compressor = get_compressor(args.codec, **options)
-    if args.mode is not None and args.relative:
-        raise SystemExit("error: --relative cannot be combined with --mode")
-    mode = args.mode or ("rel" if args.relative else "abs")
-    compressed = compressor.compress(field, ErrorBound(mode, args.error_bound))
+    compressed = compressor.compress(field, ErrorBound(args.mode or "abs", args.error_bound))
 
     if args.postprocess:
         if args.codec not in ("sz2", "zfp"):

@@ -14,7 +14,7 @@ Conventions are declared in source with ``# repro:`` directives::
     self._counters = {}       # repro: guarded-by(_lock)
     def _teardown(self):      # repro: holds(_lock)
     reader = self._source     # repro: unlocked -- double-checked fast path
-    x = legacy_call()         # repro: ignore[deprecated-api] -- adapter
+    fh = open(path)           # repro: ignore[unclosed-resource] -- handed off
 
 ``guarded-by(NAME)`` marks an attribute that may only be touched inside
 ``with self.NAME``; ``holds(NAME)`` marks a method whose *caller* holds the

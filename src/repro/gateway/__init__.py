@@ -12,8 +12,9 @@ that gap with nothing beyond the stdlib:
   :class:`~repro.serve.pool.ConnectionPool`, exposing ``/health``,
   ``/catalog``, ``/fields/{field}``, ``/read/{field}/{step}`` and
   ``/stats`` (JSON or ``?format=prom``);
-* :class:`HTTPStore` / :class:`HTTPArray` (:mod:`repro.gateway.client`) —
-  the familiar lazy remote-array surface, over HTTP;
+* :class:`HTTPStore` (:mod:`repro.gateway.client`) — the familiar remote
+  store over HTTP; its views are :class:`repro.serve.RemoteArray`, the same
+  :class:`~repro.array.CompressedArray` subclass a socket client returns;
 * :mod:`repro.gateway.http` — the bounded, hostile-input-hardened
   HTTP/1.1 request parsing underneath.
 
@@ -29,13 +30,12 @@ CLI: ``repro gateway ROOT --http HOST:PORT`` (in-process daemon) or
 """
 
 from repro.gateway import http
-from repro.gateway.client import HTTPArray, HTTPStore, open_http
+from repro.gateway.client import HTTPStore, open_http
 from repro.gateway.daemon import MAX_TRACKED_CLIENTS, STATUS_BY_ERROR_TYPE, GatewayDaemon
 
 __all__ = [
     "GatewayDaemon",
     "HTTPStore",
-    "HTTPArray",
     "open_http",
     "STATUS_BY_ERROR_TYPE",
     "MAX_TRACKED_CLIENTS",

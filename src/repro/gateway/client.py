@@ -1,8 +1,10 @@
-"""``HTTPStore`` / ``HTTPArray``: the remote-store surface over plain HTTP.
+"""``HTTPStore``: the remote-store surface over plain HTTP.
 
-The gateway's counterpart to :class:`~repro.serve.client.RemoteStore`: same
-lazy contract (geometry from one describe, payload bytes only on reads), same
-typed exceptions (error envelopes re-raise through
+The gateway's counterpart to :class:`~repro.serve.client.RemoteStore`: the
+same lazy view (:class:`~repro.serve.client.RemoteArray`, a
+:class:`~repro.array.CompressedArray` whose geometry comes from one describe
+and whose reads go through :meth:`HTTPStore.read`), the same typed exceptions
+(error envelopes re-raise through
 :func:`~repro.serve.protocol.raise_remote_error`, exactly like the socket
 client), but speaking HTTP/1.1 via :mod:`http.client` — so it needs nothing
 but a URL, and anything else that speaks HTTP (curl, a browser, a dashboard)
@@ -31,14 +33,18 @@ from urllib.parse import quote, urlencode
 
 import numpy as np
 
+from repro.serve.client import RemoteArray, RemoteSource
 from repro.serve.daemon import parse_address
-from repro.serve.protocol import ProtocolError, index_to_wire, raise_remote_error
+from repro.serve.protocol import ProtocolError, raise_remote_error
 
-__all__ = ["HTTPStore", "HTTPArray", "open_http"]
+__all__ = ["HTTPStore", "open_http"]
 
 
 def open_http(address: str, timeout: float = 30.0) -> "HTTPStore":
-    """Open an :class:`HTTPStore` on a gateway at ``host:port``."""
+    """Open an :class:`HTTPStore` on a gateway at ``host:port``.
+
+    The gateway's banner form ``http://HOST:PORT/`` is accepted too.
+    """
     return HTTPStore(address, timeout=timeout)
 
 
@@ -53,6 +59,9 @@ class HTTPStore:
     """
 
     def __init__(self, address: str, timeout: float = 30.0) -> None:
+        if isinstance(address, str):
+            # Accept the gateway's own banner form, ``http://HOST:PORT/``.
+            address = address.removeprefix("http://").rstrip("/")
         host, port = parse_address(address)
         self.address = f"{host}:{port}"
         self.timeout = float(timeout)
@@ -159,164 +168,51 @@ class HTTPStore:
         return body.decode("utf-8")
 
     # -- arrays ----------------------------------------------------------------
+    def read(
+        self,
+        field: str,
+        step: int,
+        level: int,
+        fill_value: float,
+        selector: Dict[str, Any],
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        """One ``GET /read/{field}/{step}``: the result plus its accounting.
+
+        ``selector`` is ``{"index": wire_index}`` or ``{"bbox": ((lo, hi), ...)}``,
+        sent as the ``index=`` (JSON wire form) or ``bbox=lo:hi,...`` query
+        parameter.  The result is a read-only view over the response body.
+        """
+        query = {"level": str(level), "fill_value": repr(float(fill_value))}
+        if "index" in selector:
+            query["index"] = json.dumps(selector["index"])
+        else:
+            query["bbox"] = ",".join(f"{lo}:{hi}" for lo, hi in selector["bbox"])
+        status, headers, body = self.fetch(f"/read/{field}/{step}", query)
+        if status != 200:
+            # Error bodies are always the JSON envelope, whatever we accepted.
+            raise_remote_error(json.loads(body.decode("utf-8")))
+        accounting = {
+            key: int(headers.get("x-repro-" + key.replace("_", "-"), 0))
+            for key in ("blocks_touched", "blocks_decoded", "cache_hits")
+        }
+        dtype = np.dtype(headers.get("x-repro-dtype", "<f8"))
+        shape_text = headers.get("x-repro-shape", "")
+        shape = tuple(int(n) for n in shape_text.split(",") if n != "")
+        out = np.frombuffer(body, dtype=dtype).reshape(shape)
+        out.flags.writeable = False
+        return out, accounting
+
     def array(
         self, field: str, step: int, level: int = 0, fill_value: float = 0.0
-    ) -> "HTTPArray":
+    ) -> RemoteArray:
         """Lazy HTTP view of one snapshot (one describe round trip)."""
-        described = self.describe(field, step)
-        return HTTPArray(
-            self, str(field), int(step), described, level=level, fill_value=fill_value
-        )
+        source = RemoteSource(self, field, step, self.describe(field, step))
+        return RemoteArray(source, level=level, fill_value=fill_value)
 
-    def __getitem__(self, key: Tuple[str, int]) -> "HTTPArray":
+    def __getitem__(self, key: Tuple[str, int]) -> RemoteArray:
         field, step = key
         return self.array(field, step)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"  # repro: unlocked -- repr is a racy snapshot
         return f"HTTPStore(http://{self.address}/, {state})"
-
-
-class HTTPArray:
-    """Lazy, NumPy-style view whose reads are gateway GETs.
-
-    The same surface as :class:`~repro.serve.client.RemoteArray` — geometry
-    properties, ``levels``/``.level(k)``, basic indexing, ``read_roi``,
-    ``numpy.asarray`` — backed by ``GET /read/{field}/{step}`` with the index
-    (or bbox) in the query string and the ndarray in the octet-stream body.
-    """
-
-    def __init__(
-        self,
-        store: HTTPStore,
-        field: str,
-        step: int,
-        described: Dict[str, Any],
-        level: Optional[int] = None,
-        fill_value: float = 0.0,
-    ) -> None:
-        self._store = store
-        self._field = field
-        self._step = step
-        self._described = described
-        self._geometry = {
-            int(lvl["level"]): lvl for lvl in described.get("levels", [])
-        }
-        self._level = int(min(self._geometry) if level is None else level)
-        if self._level not in self._geometry:
-            raise KeyError(
-                f"no level {self._level}; available: {sorted(self._geometry)}"
-            )
-        self.fill_value = float(fill_value)
-        self.stats: Dict[str, int] = {
-            "requests": 0,
-            "blocks_touched": 0,
-            "blocks_decoded": 0,
-            "cache_hits": 0,
-        }
-
-    # -- ndarray-style metadata ------------------------------------------------
-    @property
-    def field(self) -> str:
-        return self._field
-
-    @property
-    def step(self) -> int:
-        return self._step
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(int(s) for s in self._geometry[self._level]["level_shape"])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
-
-    def __len__(self) -> int:
-        if not self.shape:
-            raise TypeError("len() of unsized view")
-        return self.shape[0]
-
-    @property
-    def levels(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._geometry))
-
-    @property
-    def level_index(self) -> int:
-        return self._level
-
-    def level(self, k: int) -> "HTTPArray":
-        """Sibling view of level ``k`` (no round trip; geometry is shared)."""
-        return HTTPArray(
-            self._store,
-            self._field,
-            self._step,
-            self._described,
-            level=k,
-            fill_value=self.fill_value,
-        )
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self._geometry[self._level]["n_blocks"])
-
-    # -- reading ---------------------------------------------------------------
-    def _read(self, selector: Dict[str, str]) -> np.ndarray:
-        query = {
-            "level": str(self._level),
-            "fill_value": repr(self.fill_value),
-            **selector,
-        }
-        status, headers, body = self._store.fetch(
-            f"/read/{self._field}/{self._step}", query
-        )
-        if status != 200:
-            # Error bodies are always the JSON envelope, whatever we accepted.
-            envelope = json.loads(body.decode("utf-8"))
-            raise_remote_error(envelope)
-        self.stats["requests"] += 1
-        for key, header in (
-            ("blocks_touched", "x-repro-blocks-touched"),
-            ("blocks_decoded", "x-repro-blocks-decoded"),
-            ("cache_hits", "x-repro-cache-hits"),
-        ):
-            self.stats[key] += int(headers.get(header, 0))
-        dtype = np.dtype(headers.get("x-repro-dtype", "<f8"))
-        shape_text = headers.get("x-repro-shape", "")
-        shape = tuple(int(n) for n in shape_text.split(",") if n != "")
-        out = np.frombuffer(body, dtype=dtype).reshape(shape)
-        out.flags.writeable = False
-        return out
-
-    def __getitem__(self, index) -> Any:
-        # index_to_wire here, client-side, so unsupported kinds raise the
-        # exact TypeError the local and socket views raise — no round trip.
-        result = self._read({"index": json.dumps(index_to_wire(index))})
-        return result[()] if result.shape == () else result
-
-    def read_roi(self, bbox) -> np.ndarray:
-        """Decode a clamped cell-space bbox (the classic ``read_roi`` contract)."""
-        return self._read(
-            {"bbox": ",".join(f"{int(lo)}:{int(hi)}" for lo, hi in bbox)}
-        )
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.asarray(self[...])
-        if dtype is not None:
-            out = out.astype(dtype, copy=False)
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"HTTPArray({self._field}/{self._step} via http://{self._store.address}/, "
-            f"shape={self.shape}, level={self._level} of {list(self.levels)}, "
-            f"blocks={self.n_blocks})"
-        )

@@ -308,6 +308,7 @@ class GatewayDaemon:
         log.debug("gateway stopped", extra=access_extra(address=self.address))
 
     def __enter__(self) -> "GatewayDaemon":
+        self.start()
         return self
 
     def __exit__(self, *exc) -> None:

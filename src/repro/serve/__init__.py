@@ -25,8 +25,10 @@ Three pieces:
   per-connection workers, shared readers/cache/engine, per-request decode
   accounting, graceful shutdown;
 * :class:`RemoteStore` / :class:`RemoteArray` (:mod:`repro.serve.client`) —
-  the same lazy surface as :class:`repro.array.CompressedArray`, so existing
-  analysis and vis code works unchanged against a socket.
+  ``RemoteArray`` *is* a :class:`repro.array.CompressedArray` over a
+  :class:`~repro.serve.client.RemoteSource` (geometry from one ``describe``), overriding only
+  its two read entry points, so existing analysis and vis code works
+  unchanged against a socket — or, via :mod:`repro.gateway`, over HTTP.
 """
 
 from repro.serve.client import ConnectSpec, RemoteArray, RemoteStore, connect

@@ -1,16 +1,20 @@
 """``RemoteStore`` / ``RemoteArray``: the lazy view surface over a socket.
 
-The client mirrors :mod:`repro.array` exactly — *open returns a view,
-indexing triggers I/O* — so analysis and vis code written against a local
-:class:`~repro.array.CompressedArray` works unchanged against a daemon::
+The client *is* the local view — :class:`RemoteArray` subclasses
+:class:`~repro.array.CompressedArray` over a :class:`RemoteSource` — so
+*open returns a view, indexing triggers I/O* and analysis and vis code
+written against a local view works unchanged against a daemon::
 
     remote = repro.connect("127.0.0.1:4815")
     arr = remote["density", 10]          # one describe round trip
     plane = arr[:, :, 16]                # one read round trip
     coarse = arr.level(1)[...]           # sibling view, shared metadata
 
-Indexing is compiled daemon-side: the client ships the raw expression
-(:func:`~repro.serve.protocol.index_to_wire`) and re-raises daemon errors
+The source answers geometry from the opening ``describe`` and sends each
+read through its store's ``read`` method, so the same view serves the HTTP
+gateway client (:class:`~repro.gateway.HTTPStore`) too.  Indexing is compiled
+server-side: the client ships the raw expression
+(:func:`~repro.serve.protocol.index_to_wire`) and re-raises server errors
 with their original types, so ``IndexError``/``TypeError``/``ValueError``
 behave bit-for-bit like the local view — the fuzz suite asserts this.  One
 connection is one socket; requests are serialized under a lock, so a client
@@ -28,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.array.core import CompressedArray
 from repro.obs import REGISTRY, TRACER, current_trace
 from repro.obs import span as obs_span
 from repro.serve.daemon import parse_address
@@ -40,9 +45,10 @@ from repro.serve.protocol import (
     send_frame,
     verify_payload,
 )
+from repro.store.query import BBox
 from repro.utils.rng import default_rng
 
-__all__ = ["ConnectSpec", "RemoteStore", "RemoteArray", "connect"]
+__all__ = ["ConnectSpec", "RemoteStore", "RemoteSource", "RemoteArray", "connect"]
 
 _CLIENT_SECONDS = REGISTRY.histogram(
     "repro_client_request_seconds",
@@ -333,15 +339,43 @@ class RemoteStore:
         resp, _ = self.request(header)
         return dict(resp.get("traces", {}))
 
+    # -- reads -----------------------------------------------------------------
+    def read(
+        self,
+        field: str,
+        step: int,
+        level: int,
+        fill_value: float,
+        selector: Dict[str, Any],
+    ) -> Tuple[np.ndarray, Dict[str, Any]]:
+        """One ``read`` round trip: the result plus the daemon's accounting.
+
+        ``selector`` is ``{"index": wire_index}`` or ``{"bbox": ((lo, hi), ...)}``.
+        The result is a **read-only zero-copy view** over the response buffer.
+        """
+        # Root span of the whole remote read: with the tracer enabled, its
+        # trace id rides the request header and the daemon's fetch/decode/
+        # paste spans come back under it — one trace, both sides of the wire.
+        with self.tracer.trace("remote_read", field=field, step=step, level=level):
+            resp, payload = self.request(
+                {
+                    "op": "read",
+                    "field": field,
+                    "step": step,
+                    "level": level,
+                    "fill_value": fill_value,
+                    **selector,
+                }
+            )
+        return decode_ndarray(resp, payload), resp.get("accounting", {})
+
     # -- views -----------------------------------------------------------------
     def array(
         self, field: str, step: int, level: int = 0, fill_value: float = 0.0
     ) -> "RemoteArray":
         """Lazy remote view of one snapshot (one describe round trip)."""
-        described = self.describe(field, step)
-        return RemoteArray(
-            self, str(field), int(step), described, level=level, fill_value=fill_value
-        )
+        source = RemoteSource(self, field, step, self.describe(field, step))
+        return RemoteArray(source, level=level, fill_value=fill_value)
 
     def __getitem__(self, key: Tuple[str, int]) -> "RemoteArray":
         field, step = key
@@ -352,42 +386,22 @@ class RemoteStore:
         return f"RemoteStore({self.address}, {state})"
 
 
-class RemoteArray:
-    """Lazy, NumPy-style view whose reads round-trip through a daemon.
+class RemoteSource:
+    """One remote snapshot as a :class:`~repro.array.CompressedArray` source.
 
-    Same surface as the local view — ``shape``/``dtype``/``ndim``/``size``,
-    ``levels`` + ``.level(k)``, basic indexing, ``numpy.asarray`` — with all
-    geometry known from the opening ``describe``, so only ``__getitem__`` and
-    :meth:`read_roi` move payload bytes.  :attr:`stats` accumulates the
-    per-request accounting the daemon returns in its response headers.
-
-    Results are **read-only zero-copy views** over the response buffer (one
-    allocation per response, no ``frombuffer(...).copy()``); call ``.copy()``
-    (or ``np.array(result)``) for a private writable array before mutating.
+    Geometry (``levels``, ``level_shape``, ``n_blocks``) comes from the one
+    ``describe`` response, so only :meth:`read` moves payload bytes — through
+    whichever store opened it (:class:`RemoteStore` over a socket,
+    :class:`~repro.gateway.HTTPStore` over HTTP).  :attr:`stats` accumulates
+    the per-request accounting the server returns, shared by every level
+    view of the snapshot.
     """
 
-    def __init__(
-        self,
-        store: RemoteStore,
-        field: str,
-        step: int,
-        described: Dict[str, Any],
-        level: Optional[int] = None,
-        fill_value: float = 0.0,
-    ) -> None:
-        self._store = store
-        self._field = field
-        self._step = step
-        self._described = described
-        self._geometry = {
-            int(lvl["level"]): lvl for lvl in described.get("levels", [])
-        }
-        self._level = int(min(self._geometry) if level is None else level)
-        if self._level not in self._geometry:
-            raise KeyError(
-                f"no level {self._level}; available: {sorted(self._geometry)}"
-            )
-        self.fill_value = float(fill_value)
+    def __init__(self, store, field: str, step: int, described: Dict[str, Any]) -> None:
+        self.store = store
+        self.field = str(field)
+        self.step = int(step)
+        self._geometry = {int(lvl["level"]): lvl for lvl in described.get("levels", [])}
         self.stats: Dict[str, int] = {
             "requests": 0,
             "blocks_touched": 0,
@@ -395,101 +409,45 @@ class RemoteArray:
             "cache_hits": 0,
         }
 
-    # -- ndarray-style metadata -------------------------------------------------
-    @property
-    def field(self) -> str:
-        return self._field
-
-    @property
-    def step(self) -> int:
-        return self._step
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(int(s) for s in self._geometry[self._level]["level_shape"])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
-
-    def __len__(self) -> int:
-        if not self.shape:
-            raise TypeError("len() of unsized view")
-        return self.shape[0]
-
     @property
     def levels(self) -> Tuple[int, ...]:
         return tuple(sorted(self._geometry))
 
-    @property
-    def level_index(self) -> int:
-        return self._level
+    def level_shape(self, level: int) -> Tuple[int, ...]:
+        return tuple(int(s) for s in self._geometry[level]["level_shape"])
 
-    def level(self, k: int) -> "RemoteArray":
-        """Sibling view of level ``k`` (no round trip; geometry is shared)."""
-        return RemoteArray(
-            self._store,
-            self._field,
-            self._step,
-            self._described,
-            level=k,
-            fill_value=self.fill_value,
+    def n_blocks(self, level: int) -> int:
+        return int(self._geometry[level]["n_blocks"])
+
+    def read(self, level: int, fill_value: float, selector: Dict[str, Any]) -> np.ndarray:
+        out, accounting = self.store.read(
+            self.field, self.step, level, fill_value, selector
         )
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self._geometry[self._level]["n_blocks"])
-
-    # -- reading ----------------------------------------------------------------
-    def _read(self, request_body: Dict[str, Any]) -> np.ndarray:
-        # Root span of the whole remote read: with the tracer enabled, its
-        # trace id rides the request header and the daemon's fetch/decode/
-        # paste spans come back under it — one trace, both sides of the wire.
-        with self._store.tracer.trace(
-            "remote_read", field=self._field, step=self._step, level=self._level
-        ):
-            resp, payload = self._store.request(
-                {
-                    "op": "read",
-                    "field": self._field,
-                    "step": self._step,
-                    "level": self._level,
-                    "fill_value": self.fill_value,
-                    **request_body,
-                }
-            )
-        accounting = resp.get("accounting", {})
         self.stats["requests"] += 1
         for key in ("blocks_touched", "blocks_decoded", "cache_hits"):
             self.stats[key] += int(accounting.get(key, 0))
-        return decode_ndarray(resp, payload)
+        return out
+
+
+class RemoteArray(CompressedArray):
+    """A :class:`~repro.array.CompressedArray` whose reads cross the wire.
+
+    Geometry, ``levels``/``.level(k)``, ``read_roi`` clamping, ``__array__``
+    and ``stats`` are the local view's own; only the two read entry points
+    differ.  Indexing ships the raw expression
+    (:func:`~repro.serve.protocol.index_to_wire`, so unsupported kinds raise
+    client-side exactly as locally) and bbox reads ship the clamped bbox.
+
+    Results are **read-only zero-copy views** over the response buffer; call
+    ``.copy()`` (or ``np.array(result)``) for a private writable array.
+    """
 
     def __getitem__(self, index) -> Any:
-        result = self._read({"index": index_to_wire(index)})
+        result = self._source.read(
+            self._level, self.fill_value, {"index": index_to_wire(index)}
+        )
         # A fully-scalar selection returns a NumPy scalar, like the local view.
         return result[()] if result.shape == () else result
 
-    def read_roi(self, bbox) -> np.ndarray:
-        """Decode a clamped cell-space bbox (the classic ``read_roi`` contract)."""
-        return self._read({"bbox": [[int(lo), int(hi)] for lo, hi in bbox]})
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.asarray(self[...])
-        if dtype is not None:
-            out = out.astype(dtype, copy=False)
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"RemoteArray({self._field}/{self._step} via {self._store.address}, "
-            f"shape={self.shape}, level={self._level} of {list(self.levels)}, "
-            f"blocks={self.n_blocks})"
-        )
+    def _read_bbox(self, bbox: BBox) -> np.ndarray:
+        return self._source.read(self._level, self.fill_value, {"bbox": bbox})

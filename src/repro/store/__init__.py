@@ -23,8 +23,8 @@ subsystem is the production substrate for those access patterns:
 The primary *read* surface sits one package up: :mod:`repro.array` wraps
 readers and stores in lazy NumPy-style views (``store[field, step]``,
 ``reader.as_array()``) whose indexing decodes only intersecting blocks
-through a shared block cache; ``read_roi`` here is a thin adapter over it
-and ``read_level`` is deprecated in favour of ``.level(k)[...]``.
+through a shared block cache (``.level(k)[...]`` reads a whole level);
+``read_roi`` here is a thin adapter over it.
 
 Container layout (``.rps2``)
 ----------------------------

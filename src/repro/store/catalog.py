@@ -15,7 +15,6 @@ import json
 import os
 import shutil
 import threading
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -409,21 +408,6 @@ class Store:
         """``store[field, step]`` — lazy view of one snapshot's finest level."""
         field, step = key
         return self.array(field, step)
-
-    def read_level(self, field: str, step: int, level: int = 0) -> np.ndarray:
-        """Decode one whole level of one snapshot.
-
-        .. deprecated:: use ``store[field, step].level(k)[...]`` — the lazy
-           view serves whole levels and every partial query through one
-           surface.
-        """
-        warnings.warn(
-            "Store.read_level is deprecated; use store[field, step].level(k)[...] "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.array(field, step, level=level)[...]
 
     def read_roi(
         self,

@@ -27,7 +27,6 @@ import os
 import struct
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -587,21 +586,6 @@ class ContainerReader:
         return CompressedArray(
             ContainerSource(self), level=level, fill_value=fill_value, cache=cache
         )
-
-    def read_level(self, level: int, fill_value: float = 0.0) -> np.ndarray:
-        """Decode one whole level into its full-domain array.
-
-        .. deprecated:: use ``as_array(level)[...]`` (or, through a store,
-           ``store[field, step].level(k)[...]``) — the lazy view serves whole
-           levels and every partial query through one surface.
-        """
-        warnings.warn(
-            "ContainerReader.read_level is deprecated; use as_array(level)[...] "
-            "or store[field, step].level(k)[...] instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.as_array(level=level, fill_value=fill_value)[...]
 
     def read_roi(
         self, bbox: Sequence[Sequence[int]], level: int = 0, fill_value: float = 0.0

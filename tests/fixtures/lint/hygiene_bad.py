@@ -1,7 +1,7 @@
 """API-hygiene negatives.  Pure AST fixture — parsed, never imported.
 
 Expected findings: one ``bare-except``, two ``mutable-default``, two
-``deprecated-api``, two ``unclosed-resource``.
+``unclosed-resource``.
 """
 
 import socket
@@ -21,11 +21,6 @@ def accumulate(item, bucket=[]):  # finding: default shared across calls
 
 def tag(item, labels={}):  # finding: default shared across calls
     return {**labels, "item": item}
-
-
-def legacy_read(store, level):
-    data = store.read_level(level)  # finding: deprecated eager-read surface
-    return store.compress(data, 1e-3, relative=True)  # finding: deprecated kwarg
 
 
 def leak_file(path):

@@ -81,32 +81,12 @@ class TestCoercion:
     def test_float_coerces_to_abs(self):
         assert ErrorBound.coerce(1e-3) == ErrorBound.abs(1e-3)
 
-    def test_relative_flag_coerces_to_rel(self):
-        assert ErrorBound.coerce(0.01, relative=True) == ErrorBound.rel(0.01)
-
     def test_dict_coerces_through_from_dict(self):
         assert ErrorBound.coerce({"mode": "psnr", "value": 60}) == ErrorBound.psnr(60)
 
     def test_spec_passes_through(self):
         spec = ErrorBound.rel(0.01)
         assert ErrorBound.coerce(spec) is spec
-
-    def test_relative_flag_with_spec_rejected(self):
-        with pytest.raises(ValueError, match="relative="):
-            ErrorBound.coerce(ErrorBound.abs(1.0), relative=True)
-
-    def test_legacy_relative_kwarg_warns_but_works(self, smooth_field_3d):
-        codec = get_compressor("sz3")
-        with pytest.warns(DeprecationWarning, match="relative="):
-            legacy = codec.compress(smooth_field_3d, 0.01, relative=True)
-        modern = codec.compress(smooth_field_3d, ErrorBound.rel(0.01))
-        assert legacy.error_bound == modern.error_bound
-
-    def test_explicit_relative_false_also_warns(self, smooth_field_3d):
-        codec = get_compressor("zfp")
-        with pytest.warns(DeprecationWarning):
-            legacy = codec.compress(smooth_field_3d, 0.01, relative=False)
-        assert legacy.error_bound == 0.01
 
     def test_unspecified_relative_does_not_warn(self, smooth_field_3d, recwarn):
         get_compressor("sz3").compress(smooth_field_3d, 0.01)

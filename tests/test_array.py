@@ -291,16 +291,6 @@ class TestBlockCache:
 
 
 class TestAdaptersAndDeprecation:
-    def test_read_level_deprecated_but_equivalent(self, container):
-        store, _ = container
-        arr = store["f", 0]
-        with pytest.warns(DeprecationWarning, match="read_level is deprecated"):
-            via_store = store.read_level("f", 0)
-        with pytest.warns(DeprecationWarning, match="read_level is deprecated"):
-            via_reader = store.get("f", 0).read_level(0)
-        assert np.array_equal(via_store, arr[...])
-        assert np.array_equal(via_reader, arr[...])
-
     def test_read_roi_is_thin_adapter(self, container):
         store, field = container
         roi = store.read_roi("f", 0, ((-5, 8), (0, 8), (24, 99)))

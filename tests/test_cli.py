@@ -27,7 +27,7 @@ class TestCompressDecompress:
 
         assert main([
             "compress", str(path), str(out), "--codec", codec,
-            "--error-bound", str(eb), "--relative",
+            "--error-bound", str(eb), "--mode", "rel",
         ]) == 0
         assert out.exists()
         assert "ratio" in capsys.readouterr().out
@@ -43,7 +43,7 @@ class TestCompressDecompress:
         eb = 0.02
         main([
             "compress", str(path), str(out), "--codec", "zfp",
-            "--error-bound", str(eb), "--relative", "--postprocess",
+            "--error-bound", str(eb), "--mode", "rel", "--postprocess",
         ])
         raw_path = tmp_path / "raw.npy"
         post_path = tmp_path / "post.npy"
@@ -59,7 +59,7 @@ class TestCompressDecompress:
         path, _ = field_file
         out = tmp_path / "f.rpca"
         main(["compress", str(path), str(out), "--codec", "sz2", "--block-size", "4",
-              "--error-bound", "0.01", "--relative"])
+              "--error-bound", "0.01", "--mode", "rel"])
         capsys.readouterr()
         main(["info", str(out)])
         info = json.loads(capsys.readouterr().out)
@@ -71,7 +71,7 @@ class TestInfoAndEvaluate:
         path, field = field_file
         out = tmp_path / "field.rpca"
         main(["compress", str(path), str(out), "--codec", "sz3",
-              "--error-bound", "0.01", "--relative"])
+              "--error-bound", "0.01", "--mode", "rel"])
         capsys.readouterr()
         assert main(["info", str(out)]) == 0
         info = json.loads(capsys.readouterr().out)

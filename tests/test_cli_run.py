@@ -171,13 +171,6 @@ class TestRobustness:
                      "--error-bound", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_mode_and_relative_conflict(self, tmp_path, field_file):
-        path, _ = field_file
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compress", str(path), str(tmp_path / "o.rpca"),
-                  "--error-bound", "0.01", "--mode", "rel", "--relative"])
-        assert "cannot be combined" in str(excinfo.value.code)
-
     def test_psnr_mode_compresses(self, tmp_path, field_file, capsys):
         path, field = field_file
         out = tmp_path / "o.rpca"

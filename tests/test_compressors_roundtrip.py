@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ErrorBound
 from repro.compressors import SZ2Compressor, SZ3Compressor, ZFPCompressor
 from repro.compressors.base import (
     CompressedArray,
@@ -53,7 +54,7 @@ class TestRoundTripAllCompressors:
         data = 1000.0 * _make_field((16, 16, 16), seed=3)
         comp = cls()
         rel = 1e-3
-        result = comp.roundtrip(data, rel, relative=True)
+        result = comp.roundtrip(data, ErrorBound.rel(rel))
         value_range = data.max() - data.min()
         assert result.max_error <= rel * value_range * (1 + 1e-9)
 

@@ -92,8 +92,6 @@ def test_hygiene_rules_flag_each_shape():
     findings = lint_paths([FIXTURES / "hygiene_bad.py"])
     assert _rule_ids(findings) == [
         "bare-except",
-        "deprecated-api",
-        "deprecated-api",
         "mutable-default",
         "mutable-default",
         "unclosed-resource",

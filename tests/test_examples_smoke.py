@@ -28,6 +28,7 @@ def _run_example(name: str, capsys) -> str:
         ("warpx_adaptive_roi.py", "SZ3MR (pad+eb)"),
         ("store_random_access.py", "blocks decoded"),
         ("serve_shared_cache.py", "0 new decodes"),
+        ("http_gateway.py", "bit-for-bit vs the local store"),
     ],
 )
 def test_example_runs_and_reports(name, expected_fragment, capsys):

@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.array import CompressedArray
 from repro.gateway import GatewayDaemon, HTTPStore, open_http
 from repro.gateway.http import (
     MAX_HEADER_BYTES,
@@ -28,7 +29,7 @@ from repro.gateway.http import (
     read_request,
     render_response,
 )
-from repro.serve import ReadDaemon, RemoteStore
+from repro.serve import ReadDaemon, RemoteArray, RemoteStore
 from repro.serve.protocol import ProtocolError, RemoteError
 
 
@@ -493,6 +494,34 @@ class TestHTTPStoreSurface:
         arr[0:4, 0:4, 0:4]
         assert arr.stats["requests"] == 1
         assert arr.stats["blocks_touched"] >= 1
+
+    def test_views_are_compressed_arrays(self, http_store, remote_store):
+        # One view class for local, socket and HTTP reads.
+        for store in (http_store, remote_store):
+            view = store["amr", 0]
+            assert type(view) is RemoteArray
+            assert isinstance(view, CompressedArray)
+            coarse = view.level(view.levels[-1])
+            assert type(coarse) is RemoteArray
+            assert coarse.source is view.source
+
+    def test_level_siblings_share_stats(self, http_store):
+        arr = http_store["amr", 0]
+        arr[0:4, 0:4, 0:4]
+        arr.level(arr.levels[-1])[...]
+        assert arr.stats["requests"] == 2
+        assert arr.level(arr.levels[-1]).stats == arr.stats
+
+    def test_open_http_accepts_the_gateway_banner(self, gateway):
+        for address in (f"http://{gateway.address}/", f"http://{gateway.address}"):
+            with open_http(address) as store:
+                assert store.address == gateway.address
+                assert store.health()["ok"] is True
+
+    def test_context_manager_starts_the_gateway(self, serve_daemon):
+        with GatewayDaemon(serve_daemon.address) as daemon:
+            with HTTPStore(daemon.address) as store:
+                assert store.health()["ok"] is True
 
     def test_reconnects_after_idle_close(self, serve_daemon):
         daemon = GatewayDaemon(serve_daemon.address, idle_timeout=0.1)

@@ -1,8 +1,9 @@
 """The chaos proxy: scripted transport faults between two sockets.
 
-One proxy fronts one upstream address.  Every accepted connection is
-assigned a fault by the :class:`ChaosSchedule` — indexed by the order
-connections arrive, never by wall time — and then served by a pair of pump
+One proxy fronts one upstream address on the daemons' lifecycle (it is a
+:class:`~repro.serve.daemon.TCPServer`).  Every accepted connection is
+assigned a fault by the :class:`ChaosSchedule` — keyed by the server's
+accept index, never by wall time — and then served by a pair of pump
 threads relaying bytes in both directions, with the fault applied to the
 upstream→client direction (where response frames, the bytes under test,
 travel):
@@ -42,11 +43,10 @@ import dataclasses
 import logging
 import socket
 import struct
-import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs import access_extra
-from repro.serve.daemon import parse_address
+from repro.serve.daemon import TCPServer, parse_address
 from repro.utils.rng import default_rng
 
 __all__ = ["FAULTS", "ChaosSchedule", "ChaosProxy"]
@@ -159,7 +159,7 @@ class ChaosSchedule:
         return f"ChaosSchedule({list(self.script)}, seed={self.seed!r})"
 
 
-class ChaosProxy:
+class ChaosProxy(TCPServer):
     """Fault-injecting TCP proxy in front of one upstream address.
 
     ``start()`` binds (an OS-assigned port by default) and returns the
@@ -168,6 +168,8 @@ class ChaosProxy:
     manager.  ``stats()`` reports connections seen and faults applied, so
     tests can assert the schedule actually fired.
     """
+
+    _thread_name = "repro-chaos"
 
     def __init__(
         self,
@@ -178,122 +180,35 @@ class ChaosProxy:
         timeout: float = 30.0,
         backlog: int = 32,
     ) -> None:
+        super().__init__(host=host, port=port, backlog=backlog)
         up_host, up_port = parse_address(upstream)
         self.upstream = f"{up_host}:{up_port}"
         self.schedule = schedule or ChaosSchedule(["pass"])
         self.timeout = float(timeout)
-        self._host = str(host)
-        self._port = int(port)
-        self._backlog = int(backlog)
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._n_conns = 0  # repro: guarded-by(_lock)
-        self._sockets: set = set()  # repro: guarded-by(_lock)
-        self._workers: List[threading.Thread] = []  # repro: guarded-by(_lock)
         self._faults: Dict[str, int] = {f: 0 for f in FAULTS}  # repro: guarded-by(_lock)
 
-    # -- lifecycle ---------------------------------------------------------
-    @property
-    def address(self) -> str:
-        if self._listener is None:
-            raise RuntimeError("chaos proxy is not started; call start() first")
-        return f"{self._host}:{self._port}"
-
     def start(self) -> str:
-        if self._listener is not None:
-            return self.address
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(self._backlog)
-        self._host, self._port = listener.getsockname()[:2]
-        self._listener = listener
-        self._stop.clear()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-chaos-accept", daemon=True
-        )
-        self._accept_thread.start()
+        address = super().start()
         log.info(
             "chaos proxy started",
             extra=access_extra(
-                address=self.address,
+                address=address,
                 upstream=self.upstream,
                 schedule=repr(self.schedule),
             ),
         )
-        return self.address
-
-    def serve_forever(self, timeout: Optional[float] = None) -> None:
-        self.start()
-        self._stop.wait(timeout)
-
-    def request_stop(self) -> None:
-        """Signal-handler-safe: just unblocks :meth:`serve_forever`."""
-        self._stop.set()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            sockets = list(self._sockets)
-        for sock in sockets:
-            _abort(sock)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            worker.join(timeout)
-        self._listener = None
-        self._accept_thread = None
-
-    def __enter__(self) -> "ChaosProxy":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        return address
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
-                "connections": self._n_conns,
+                "connections": self._counters["connections"],
                 "faults": dict(self._faults),
                 "upstream": self.upstream,
             }
 
     # -- connection handling ----------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            with self._lock:
-                index = self._n_conns
-                self._n_conns += 1
-                self._sockets.add(conn)
-                self._workers = [w for w in self._workers if w.is_alive()]
-                worker = threading.Thread(
-                    target=self._serve,
-                    args=(conn, index),
-                    name=f"repro-chaos-conn-{index}",
-                    daemon=True,
-                )
-                self._workers.append(worker)
-            worker.start()
-
-    def _serve(self, client: socket.socket, index: int) -> None:
+    def _serve_connection(self, client: socket.socket, index: int) -> None:
         plan = self.schedule.plan(index)
         with self._lock:
             self._faults[plan.fault] += 1
@@ -304,7 +219,6 @@ class ChaosProxy:
         upstream: Optional[socket.socket] = None
         try:
             if plan.fault == "refuse":
-                _abort(client)
                 return
             if plan.fault == "hang":
                 # Hold the socket open, forward nothing; the client's own
@@ -316,35 +230,31 @@ class ChaosProxy:
                     parse_address(self.upstream), timeout=self.timeout
                 )
             except OSError:
-                _abort(client)
                 return
             client.settimeout(self.timeout)
             upstream.settimeout(self.timeout)
-            with self._lock:
-                self._sockets.add(upstream)
             # Client -> upstream is always a clean relay (requests are not
             # the bytes under test); upstream -> client carries the fault.
             # Either side *ending* aborts both; idle relays live on until
-            # stop() aborts their sockets.
-            forward = threading.Thread(
-                target=self._pump_then_abort,
-                args=(client, upstream, _Plan("pass")),
-                name=f"repro-chaos-up-{index}",
-                daemon=True,
-            )
-            with self._lock:
-                self._workers.append(forward)
-            forward.start()
+            # stop() closes their sockets.
+            if not self._adopt(
+                upstream,
+                self._pump_then_abort,
+                (client, upstream, _Plan("pass")),
+                f"{self._thread_name}-up-{index}",
+            ):
+                return
             if plan.delay > 0:
                 self._stop.wait(plan.delay)
             self._pump(upstream, client, plan)
         finally:
-            for sock in (client, upstream):
-                if sock is None:
-                    continue
-                _abort(sock)
+            # Abortive for every fault: a refused dial reads as a reset, and
+            # a relay ends the way the pump left it.
+            _abort(client)
+            if upstream is not None:
+                _abort(upstream)
                 with self._lock:
-                    self._sockets.discard(sock)
+                    self._connections.discard(upstream)
 
     def _pump_then_abort(
         self, src: socket.socket, dst: socket.socket, plan: _Plan

@@ -763,37 +763,55 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_ms=args.slow_ms,
         **daemon_kwargs,
     )
-    # SIGTERM (systemd, CI, `kill`) shuts down as cleanly as ctrl-c; shells
-    # without job control start background children with SIGINT ignored, so
-    # TERM is the only reliably deliverable stop signal there.  Installed
-    # before the banner: once the address is printed, a TERM is never fatal.
+    return _run_server(
+        daemon,
+        args.seconds,
+        OSError,
+        f"cannot bind {args.addr}",
+        lambda: (
+            f"serving {args.root} ({len(store)} entries) at {daemon.address} "
+            f"(cache {args.cache_blocks} blocks / {args.cache_mb:g} MiB; ctrl-c to stop)"
+        ),
+        lambda stats: (
+            f"daemon stopped after {stats['requests']} requests "
+            f"({stats['reads']} reads, {stats['blocks_decoded']} blocks decoded, "
+            f"{stats['cache']['hits']} cache hits, "
+            f"{stats['cache']['bytes_resident']} B resident)"
+        ),
+    )
+
+
+def _run_server(server, seconds, start_errors, start_error, banner, summary) -> int:
+    """Run one server command: start, banner, serve, stop, summary.
+
+    ``banner()`` is printed once the server is bound and ``summary(stats)``
+    after it stops, with the ``stats()`` taken just before :meth:`stop`;
+    perfbench and the CI smoke jobs parse both lines.  A failed start
+    (``start_errors``) exits with ``error: {start_error}: {exc}``.
+
+    SIGTERM (systemd, CI, `kill`) shuts down as cleanly as ctrl-c; shells
+    without job control start background children with SIGINT ignored, so
+    TERM is the only reliably deliverable stop signal there.  Installed
+    before the banner: once the address is printed, a TERM is never fatal.
+    """
     import signal
 
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: daemon.request_stop())
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: server.request_stop())
     try:
-        daemon.start()
-    except OSError as exc:
+        server.start()
+    except start_errors as exc:
         signal.signal(signal.SIGTERM, previous)
-        raise SystemExit(f"error: cannot bind {args.addr}: {exc}")
-    print(
-        f"serving {args.root} ({len(store)} entries) at {daemon.address} "
-        f"(cache {args.cache_blocks} blocks / {args.cache_mb:g} MiB; ctrl-c to stop)",
-        flush=True,
-    )
+        raise SystemExit(f"error: {start_error}: {exc}")
+    print(banner(), flush=True)
     try:
-        daemon.serve_forever(timeout=args.seconds)
+        server.serve_forever(timeout=seconds)
     except KeyboardInterrupt:
         pass
     finally:
         signal.signal(signal.SIGTERM, previous)
-        stats = daemon.stats()
-        daemon.stop()
-    print(
-        f"daemon stopped after {stats['requests']} requests "
-        f"({stats['reads']} reads, {stats['blocks_decoded']} blocks decoded, "
-        f"{stats['cache']['hits']} cache hits, "
-        f"{stats['cache']['bytes_resident']} B resident)"
-    )
+        stats = server.stats()
+        server.stop()
+    print(summary(stats))
     return 0
 
 
@@ -989,39 +1007,25 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         breaker_cooldown=args.breaker_cooldown,
         probe_interval=args.probe_interval,
     )
-    # Same SIGTERM discipline as `repro serve`: installed before the banner,
-    # so once the address is printed a TERM always exits cleanly.
-    import signal
-
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: router.request_stop())
-    try:
-        router.start()
-    except (OSError, ShardError) as exc:
-        signal.signal(signal.SIGTERM, previous)
-        raise SystemExit(f"error: cannot start router: {exc}")
-    print(
-        f"routing {len(shard_map.shards)} shards "
-        f"({', '.join(s.name + '=' + s.address for s in shard_map.shards)}) "
-        f"at {router.address} "
-        f"(replicas {shard_map.replicas}, breaker threshold "
-        f"{args.breaker_threshold}; ctrl-c to stop)",
-        flush=True,
+    return _run_server(
+        router,
+        args.seconds,
+        (OSError, ShardError),
+        "cannot start router",
+        lambda: (
+            f"routing {len(shard_map.shards)} shards "
+            f"({', '.join(s.name + '=' + s.address for s in shard_map.shards)}) "
+            f"at {router.address} "
+            f"(replicas {shard_map.replicas}, breaker threshold "
+            f"{args.breaker_threshold}; ctrl-c to stop)"
+        ),
+        lambda stats: (
+            f"router stopped after {stats['requests']} requests "
+            f"({stats['reads_forwarded']} reads forwarded, "
+            f"{stats['relay_bytes']} B relayed, "
+            f"{stats['backend_errors']} backend errors)"
+        ),
     )
-    try:
-        router.serve_forever(timeout=args.seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        stats = router.stats()
-        router.stop()
-    print(
-        f"router stopped after {stats['requests']} requests "
-        f"({stats['reads_forwarded']} reads forwarded, "
-        f"{stats['relay_bytes']} B relayed, "
-        f"{stats['backend_errors']} backend errors)"
-    )
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1073,35 +1077,25 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         port=port,
         timeout=args.hang_timeout,
     )
-    # Same SIGTERM discipline as `repro serve`: installed before the banner,
-    # so once the address is printed a TERM always exits cleanly.
-    import signal
 
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: proxy.request_stop())
-    try:
-        proxy.start()
-    except OSError as exc:
-        signal.signal(signal.SIGTERM, previous)
-        raise SystemExit(f"error: cannot start chaos proxy: {exc}")
-    print(
-        f"chaos proxy for {proxy.upstream} at {proxy.address} "
-        f"({schedule!r}; ctrl-c to stop)",
-        flush=True,
+    def summary(stats: dict) -> str:
+        injected = {f: n for f, n in stats["faults"].items() if n and f != "pass"}
+        return (
+            f"chaos proxy stopped after {stats['connections']} connections "
+            f"(faults injected: {injected or 'none'})"
+        )
+
+    return _run_server(
+        proxy,
+        args.seconds,
+        OSError,
+        "cannot start chaos proxy",
+        lambda: (
+            f"chaos proxy for {proxy.upstream} at {proxy.address} "
+            f"({schedule!r}; ctrl-c to stop)"
+        ),
+        summary,
     )
-    try:
-        proxy.serve_forever(timeout=args.seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        stats = proxy.stats()
-        proxy.stop()
-    injected = {f: n for f, n in stats["faults"].items() if n and f != "pass"}
-    print(
-        f"chaos proxy stopped after {stats['connections']} connections "
-        f"(faults injected: {injected or 'none'})"
-    )
-    return 0
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
@@ -1147,40 +1141,26 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         retries=args.connect_retries,
     )
-    # Same SIGTERM discipline as `repro serve`: installed before the banner,
-    # so once the address is printed a TERM always exits cleanly.
-    import signal
-
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: daemon.request_stop())
     try:
-        daemon.start()
-    except (OSError, ProtocolError) as exc:
-        signal.signal(signal.SIGTERM, previous)
-        if inner is not None:
-            inner.stop()
-        raise SystemExit(f"error: cannot start gateway: {exc}")
-    print(
-        f"gateway for {backend_label} at http://{daemon.address}/ "
-        f"(pool {args.pool_size}, max {args.max_connections} connections; "
-        f"ctrl-c to stop)",
-        flush=True,
-    )
-    try:
-        daemon.serve_forever(timeout=args.seconds)
-    except KeyboardInterrupt:
-        pass
+        return _run_server(
+            daemon,
+            args.seconds,
+            (OSError, ProtocolError),
+            "cannot start gateway",
+            lambda: (
+                f"gateway for {backend_label} at http://{daemon.address}/ "
+                f"(pool {args.pool_size}, max {args.max_connections} connections; "
+                f"ctrl-c to stop)"
+            ),
+            lambda stats: (
+                f"gateway stopped after {stats['requests']} requests "
+                f"({stats['errors']} errors, {stats['http_bytes_sent']} B sent, "
+                f"{len(stats['clients'])} clients)"
+            ),
+        )
     finally:
-        signal.signal(signal.SIGTERM, previous)
-        stats = daemon.stats()
-        daemon.stop()
         if inner is not None:
             inner.stop()
-    print(
-        f"gateway stopped after {stats['requests']} requests "
-        f"({stats['errors']} errors, {stats['http_bytes_sent']} B sent, "
-        f"{len(stats['clients'])} clients)"
-    )
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -5,8 +5,9 @@ between trusted processes on one machine; it is the wrong thing to hand a
 dashboard, a notebook on another host, or ``curl``.  This package bridges
 that gap with nothing beyond the stdlib:
 
-* :class:`GatewayDaemon` (:mod:`repro.gateway.daemon`) — an asyncio HTTP
-  server that mounts on one wire backend (a
+* :class:`GatewayDaemon` (:mod:`repro.gateway.daemon`) — a threaded HTTP
+  server, on the same :class:`~repro.serve.daemon.TCPServer` lifecycle as
+  the daemons, that mounts on one wire backend (a
   :class:`~repro.serve.daemon.ReadDaemon` or — fronting a whole cluster —
   a :class:`~repro.shard.RouterDaemon`) through a per-backend
   :class:`~repro.serve.pool.ConnectionPool`, exposing ``/health``,

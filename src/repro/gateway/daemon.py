@@ -1,4 +1,4 @@
-"""``GatewayDaemon``: a stdlib-asyncio HTTP/1.1 front end over the wire protocol.
+"""``GatewayDaemon``: a threaded HTTP/1.1 front end over the wire protocol.
 
 The web-facing on-ramp: one gateway mounts on a single
 :class:`~repro.serve.daemon.ReadDaemon` or — the intended deployment — on a
@@ -29,27 +29,31 @@ so an HTTP client re-raises precisely what a socket client would: bad bbox →
 exchanges, never re-phrases), which is what the gateway parity fuzz tier
 asserts message-for-message.
 
-Concurrency model: the asyncio event loop runs on a background thread (so
-``start()/stop()/serve_forever()`` mirror :class:`WireDaemon`); backend wire
-exchanges — blocking socket I/O — run on a small thread pool, each holding a
-lease from a :class:`~repro.serve.pool.ConnectionPool`, so concurrent HTTP
-requests fan out over up to ``pool_size`` backend connections.  A
-max-connections gate answers 503 above the cap, and every request runs under
-``request_timeout`` (504 on expiry).  Per-client request/byte accounting is
-kept for the first ``MAX_TRACKED_CLIENTS`` distinct addresses (the rest pool
-under ``"other"``) and surfaced both in ``/stats`` and as
+Concurrency model: the gateway is a :class:`~repro.serve.daemon.TCPServer`,
+the same lifecycle as the read daemon and the shard router — one thread per
+HTTP connection, which parses the request, leases a backend connection from
+a :class:`~repro.serve.pool.ConnectionPool` and runs the wire exchange
+itself, so concurrent HTTP requests fan out over up to ``pool_size`` backend
+connections and one request stays one trace (a ``gateway_request`` root with
+``gateway_exchange`` and the backend's spans beneath it).  A
+max-connections gate answers 503 above the cap.  ``request_timeout`` caps
+the backend socket timeout: a backend wait past it is a 504, and the
+timed-out exchange poisons its own pooled connection, so the lease is free
+at once (a request queued behind busy leases may wait longer than
+``request_timeout`` in total before its 504).  Per-client request/byte
+accounting is kept for the first ``MAX_TRACKED_CLIENTS`` distinct addresses
+(the rest pool under ``"other"``) and surfaced both in ``/stats`` and as
 ``repro_gateway_*`` metric families.
 """
 
 from __future__ import annotations
 
-import asyncio
+import dataclasses
 import json
 import logging
 import re
-import threading
+import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -59,12 +63,14 @@ from repro.gateway.http import HttpError, Request
 from repro.obs import REGISTRY, TRACER, access_extra, merge_snapshots, render_prometheus
 from repro.obs.collectors import counter_family, gauge_family
 from repro.serve.client import ConnectSpec
+from repro.serve.daemon import TCPServer
 from repro.serve.pool import ConnectionPool
 from repro.serve.protocol import (
     ProtocolError,
     decode_ndarray,
     index_from_wire,
     index_to_wire,
+    send_buffers,
 )
 
 __all__ = ["GatewayDaemon", "STATUS_BY_ERROR_TYPE", "MAX_TRACKED_CLIENTS"]
@@ -90,7 +96,10 @@ STATUS_BY_ERROR_TYPE: Dict[str, int] = {
 #: under ``"other"`` so a scrape's label cardinality stays bounded.
 MAX_TRACKED_CLIENTS = 64
 
-_RESPONSE_CHUNK = 1 << 16
+#: Lingering close: after the FIN, wait this long per read (and at most this
+#: many reads) for the client's unread request bytes.
+_LINGER_SECONDS = 0.2
+_LINGER_READS = 16
 
 _REQUESTS = REGISTRY.counter(
     "repro_gateway_requests_total",
@@ -131,7 +140,7 @@ class _BackendEnvelope(Exception):
         self.resp = resp
 
 
-class GatewayDaemon:
+class GatewayDaemon(TCPServer):
     """HTTP/1.1 front end over one wire-protocol backend (daemon or router).
 
     Parameters
@@ -147,13 +156,16 @@ class GatewayDaemon:
     max_connections:
         Open HTTP connections above which new ones are answered 503.
     request_timeout:
-        Seconds one request may take end to end before a 504.
+        Seconds one backend exchange may wait on the backend before a 504;
+        it caps the backend socket timeout.
     idle_timeout:
         Seconds a keep-alive connection may sit idle before it is closed.
     timeout / retries / backoff:
         Backend :class:`ConnectSpec` dial policy (ignored when ``backend``
         is already a spec).
     """
+
+    _thread_name = "repro-gateway"
 
     def __init__(
         self,
@@ -170,164 +182,66 @@ class GatewayDaemon:
         backoff: float = 0.05,
         tracer=None,
     ) -> None:
+        super().__init__(host=host, port=port)
         if not isinstance(backend, ConnectSpec):
             address = backend if isinstance(backend, str) else f"{backend[0]}:{backend[1]}"
             backend = ConnectSpec(
                 address, timeout=timeout, retries=retries, backoff=backoff
             )
-        self.spec = backend
+        self.request_timeout = float(request_timeout)
+        # The backend socket timeout is the request deadline: a stalled
+        # exchange raises socket.timeout on its own thread, which poisons
+        # (and so frees) its pooled connection before the 504 goes out.
+        self.spec = dataclasses.replace(
+            backend, timeout=min(backend.timeout, self.request_timeout)
+        )
         self.tracer = TRACER if tracer is None else tracer
         self.pool_size = max(1, int(pool_size))
         self.max_connections = max(1, int(max_connections))
-        self.request_timeout = float(request_timeout)
         self.idle_timeout = float(idle_timeout)
-        self._host = host
-        self._port = int(port)
-        self._pool = ConnectionPool(backend, size=self.pool_size, tracer=self.tracer)
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._start_error: Optional[BaseException] = None
-        self._stop_event = threading.Event()
-        self._lock = threading.Lock()
-        self._active = 0  # repro: guarded-by(_lock)
-        self._counters: Dict[str, int] = {  # repro: guarded-by(_lock)
-            "requests": 0,
-            "errors": 0,
-            "connections": 0,
-            "rejected_connections": 0,
-            "http_bytes_sent": 0,
-            "http_bytes_received": 0,
-        }
+        self._pool = ConnectionPool(self.spec, size=self.pool_size, tracer=self.tracer)
+        self._counters.update(
+            {
+                "requests": 0,
+                "errors": 0,
+                "rejected_connections": 0,
+                "http_bytes_sent": 0,
+                "http_bytes_received": 0,
+            }
+        )
         self._clients: Dict[str, Dict[str, int]] = {}  # repro: guarded-by(_lock)
-        self._collector_fns: list = []
 
     # -- lifecycle -------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        return f"{self._host}:{self._port}"
-
     def start(self) -> str:
         """Warm the backend pool, bind the HTTP server, return the address."""
-        if self._thread is not None:
-            return self.address
-        # One backend connection up front: a dead or misaddressed backend
-        # fails here, loudly, not on the first HTTP request.
-        self._pool.warm()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.pool_size + 2, thread_name_prefix="repro-gateway-io"
-        )
-        self._stop_event.clear()
-        self._start_error = None
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run_loop,
-            args=(started,),
-            name="repro-gateway-loop",
-            daemon=True,
-        )
-        self._thread.start()
-        started.wait(timeout=30.0)
-        if self._start_error is not None:
-            error, self._start_error = self._start_error, None
-            self._thread.join(timeout=5.0)
-            self._thread = None
-            self._executor.shutdown(wait=False)
-            self._executor = None
-            raise error
-        self._collector_fns = [REGISTRY.add_collector(self._collect_families, owner=self)]
-        log.debug("gateway started", extra=access_extra(address=self.address))
-        return self.address
-
-    def _run_loop(self, started: threading.Event) -> None:
-        assert self._loop is not None
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._server = self._loop.run_until_complete(
-                asyncio.start_server(
-                    self._handle,
-                    self._host,
-                    self._port,
-                    limit=http.MAX_HEADER_BYTES,
-                )
-            )
-        except OSError as exc:
-            self._start_error = exc
-            started.set()
-            return
-        sock = self._server.sockets[0]
-        self._host, self._port = sock.getsockname()[:2]
-        started.set()
-        try:
-            self._loop.run_forever()
-        finally:
-            self._loop.run_until_complete(self._shutdown_async())
-            self._loop.close()
-
-    async def _shutdown_async(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        tasks = [
-            task
-            for task in asyncio.all_tasks(self._loop)
-            if task is not asyncio.current_task()
-        ]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-    def serve_forever(self, timeout: Optional[float] = None) -> None:
-        """Start (if needed) and block until :meth:`request_stop` or ``timeout``."""
-        self.start()
-        self._stop_event.wait(timeout)
-
-    def request_stop(self) -> None:
-        """Unblock :meth:`serve_forever`; safe from a signal handler."""
-        self._stop_event.set()
+        if self._listener is None:
+            # One backend connection up front: a dead or misaddressed backend
+            # fails here, loudly, not on the first HTTP request.
+            self._pool.warm()
+        return super().start()
 
     def stop(self, timeout: float = 5.0) -> None:
         """Close the server and every connection; drain the backend pool."""
-        self._stop_event.set()
-        for collect in self._collector_fns:
-            REGISTRY.remove_collector(collect)
-        self._collector_fns = []
-        if self._thread is not None:
-            assert self._loop is not None
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout)
-            self._thread = None
-            self._loop = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        super().stop(timeout)
         self._pool.close()
-        log.debug("gateway stopped", extra=access_extra(address=self.address))
 
-    def __enter__(self) -> "GatewayDaemon":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def _collectors(self) -> List[Callable]:
+        return [self._collect_families]
 
     # -- connection handling ---------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        client = str(peer[0]) if peer else "unknown"
+    def _serve_connection(self, conn: socket.socket, index: int) -> None:
         with self._lock:
-            self._counters["connections"] += 1
-            self._active += 1
-            over_capacity = self._active > self.max_connections
-        try:
+            over_capacity = len(self._connections) > self.max_connections
             if over_capacity:
-                with self._lock:
-                    self._counters["rejected_connections"] += 1
+                self._counters["rejected_connections"] += 1
+        fh = conn.makefile("rb")
+        try:
+            client = str(conn.getpeername()[0])
+            # Responses leave in one sendmsg, but a keep-alive client's next
+            # request must not wait out delayed ACK behind a small response.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(self.idle_timeout)
+            if over_capacity:
                 body = http.json_body(
                     self._envelope(
                         503,
@@ -335,7 +249,7 @@ class GatewayDaemon:
                         f"gateway at capacity ({self.max_connections} connections)",
                     )
                 )
-                writer.write(
+                conn.sendall(
                     http.render_response(
                         503,
                         body,
@@ -343,27 +257,15 @@ class GatewayDaemon:
                         keep_alive=False,
                     )
                 )
-                await writer.drain()
-                # Swallow whatever request bytes are in flight before closing;
-                # closing with unread input RSTs the socket and the client
-                # never sees the 503.
-                try:
-                    await asyncio.wait_for(reader.read(65536), timeout=0.2)
-                except (asyncio.TimeoutError, OSError):
-                    pass
                 return
-            while not self._stop_event.is_set():
+            while not self._stop.is_set():
                 try:
-                    request = await asyncio.wait_for(
-                        http.read_request(reader), timeout=self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection; hang up quietly
+                    request = http.read_request(fh)
                 except HttpError as exc:
                     # Framing damage: answer, then close — the stream
                     # position is no longer trustworthy.
-                    await self._finish(
-                        writer,
+                    self._finish(
+                        conn,
                         exc.status,
                         http.json_body(self._http_error_envelope(exc)),
                         route="parse",
@@ -375,81 +277,68 @@ class GatewayDaemon:
                     break
                 if request is None:
                     break  # clean EOF between requests
-                keep_alive = await self._serve_request(request, writer, client)
-                if not keep_alive:
+                if not self._serve_request(request, conn, client):
                     break
-        except (ConnectionResetError, BrokenPipeError, TimeoutError):
-            pass  # client went away mid-stream; nothing left to tell them
-        except asyncio.CancelledError:
-            raise
+        except (OSError, ValueError):
+            pass  # idle keep-alive timed out, client gone, or stop() closed it
         finally:
-            with self._lock:
-                self._active -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+            fh.close()
+            _lingering_close(conn)
 
-    async def _serve_request(
-        self, request: Request, writer: asyncio.StreamWriter, client: str
-    ) -> bool:
+    def _serve_request(self, request: Request, conn: socket.socket, client: str) -> bool:
         started = time.perf_counter()
         route = "unknown"
         keep_alive = request.keep_alive
         extra_headers: List[Tuple[str, str]] = []
-        try:
-            route, handler, args = self._route(request)
-            status, content_type, body, extra_headers = await asyncio.wait_for(
-                handler(request, *args), timeout=self.request_timeout
-            )
-        except HttpError as exc:
-            status, content_type = exc.status, "application/json"
-            body = http.json_body(self._http_error_envelope(exc))
-            if exc.status == 405:
-                extra_headers = [("Allow", "GET")]
-            keep_alive = keep_alive and not exc.close
-        except _BackendEnvelope as exc:
-            status, envelope = self._map_backend_error(exc.resp)
-            content_type, body = "application/json", http.json_body(envelope)
-        except asyncio.TimeoutError:
-            status, content_type = 504, "application/json"
-            body = http.json_body(
-                self._envelope(
-                    504,
-                    "TimeoutError",
-                    f"request exceeded the gateway timeout "
-                    f"({self.request_timeout:g} s)",
+        with self.tracer.trace("gateway_request") as span:
+            try:
+                route, handler, args = self._route(request)
+                status, content_type, body, extra_headers = handler(request, *args)
+            except HttpError as exc:
+                status, content_type = exc.status, "application/json"
+                body = http.json_body(self._http_error_envelope(exc))
+                if exc.status == 405:
+                    extra_headers = [("Allow", "GET")]
+                keep_alive = keep_alive and not exc.close
+            except _BackendEnvelope as exc:
+                status, envelope = self._map_backend_error(exc.resp)
+                content_type, body = "application/json", http.json_body(envelope)
+            except TimeoutError:
+                status, content_type = 504, "application/json"
+                body = http.json_body(
+                    self._envelope(
+                        504,
+                        "TimeoutError",
+                        f"request exceeded the gateway timeout "
+                        f"({self.spec.timeout:g} s)",
+                    )
                 )
+                keep_alive = False
+            except Exception as exc:  # noqa: BLE001 - every failure becomes a response
+                log.warning(
+                    "gateway internal error",
+                    extra=access_extra(route=route, error=repr(exc)),
+                )
+                status, content_type = 500, "application/json"
+                body = http.json_body(self._envelope(500, type(exc).__name__, str(exc)))
+            if span is not None:
+                span.set(route=route, status=status)
+            return self._finish(
+                conn,
+                status,
+                body,
+                route=route,
+                client=client,
+                request=request,
+                keep_alive=keep_alive,
+                started=started,
+                content_type=content_type,
+                extra_headers=extra_headers,
             )
-            # The backend exchange may still be running on its worker
-            # thread; do not reuse a connection we might interleave on.
-            keep_alive = False
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - every failure becomes a response
-            log.warning(
-                "gateway internal error",
-                extra=access_extra(route=route, error=repr(exc)),
-            )
-            status, content_type = 500, "application/json"
-            body = http.json_body(self._envelope(500, type(exc).__name__, str(exc)))
-        return await self._finish(
-            writer,
-            status,
-            body,
-            route=route,
-            client=client,
-            request=request,
-            keep_alive=keep_alive,
-            started=started,
-            content_type=content_type,
-            extra_headers=extra_headers,
-        )
 
-    async def _finish(
+    def _finish(
         self,
-        writer: asyncio.StreamWriter,
+        conn: socket.socket,
         status: int,
         body,
         route: str,
@@ -460,18 +349,12 @@ class GatewayDaemon:
         content_type: str = "application/json",
         extra_headers: Optional[List[Tuple[str, str]]] = None,
     ) -> bool:
-        """Stream head + body, then account the request; returns ``keep_alive``."""
+        """Send head + body, then account the request; returns ``keep_alive``."""
         view = memoryview(body)
         head = http.render_head(
             status, len(view), content_type, extra_headers, keep_alive=keep_alive
         )
-        writer.write(head)
-        for offset in range(0, len(view), _RESPONSE_CHUNK):
-            writer.write(view[offset : offset + _RESPONSE_CHUNK])
-            await writer.drain()
-        await writer.drain()
-
-        sent = len(head) + len(view)
+        sent = send_buffers(conn, [head, view])
         received = request.nbytes if request is not None else 0
         duration = time.perf_counter() - started
         _REQUESTS.labels(route=route, code=str(status)).inc()
@@ -535,28 +418,25 @@ class GatewayDaemon:
         )
 
     # -- backend exchange ------------------------------------------------------
-    async def _exchange(self, header: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
-        """One pooled wire exchange on a worker thread; error envelopes raise.
+    def _exchange(self, header: Dict[str, Any]) -> Tuple[Dict[str, Any], bytes]:
+        """One pooled wire exchange; error envelopes raise.
 
         The response header comes back exactly as the backend wrote it, so a
         shard's (or daemon's) typed error reaches the HTTP client with its
         original type and message — the parity the fuzz tier asserts.
         Backend spans graft into the gateway's tracer, extending the one
-        trace tree across the HTTP hop.
+        trace tree across the HTTP hop.  A backend that outlasts
+        ``request_timeout`` raises ``TimeoutError`` (the 504 path).
         """
         op = str(header.get("op"))
-
-        def call() -> Tuple[Dict[str, Any], bytes]:
-            # The trace context is thread-local, so the root span opens here
-            # on the worker thread; exchange() stamps it into the request
-            # header and the backend parents its spans on ours.
+        try:
+            # exchange() stamps the ambient trace into the request header,
+            # so the backend parents its spans on this one.
             with self.tracer.trace("gateway_exchange", op=op, backend=self.spec.address):
                 with self._pool.lease() as backend:
-                    return backend.exchange(header)
-
-        assert self._loop is not None and self._executor is not None
-        try:
-            resp, payload = await self._loop.run_in_executor(self._executor, call)
+                    resp, payload = backend.exchange(header)
+        except TimeoutError:
+            raise
         except (OSError, ProtocolError) as exc:
             raise _BackendEnvelope(
                 {
@@ -609,7 +489,7 @@ class GatewayDaemon:
         return status, envelope
 
     # -- route handlers --------------------------------------------------------
-    async def _r_health(self, request: Request) -> Tuple[int, str, bytes, list]:
+    def _r_health(self, request: Request) -> Tuple[int, str, bytes, list]:
         """Backend health, degraded-shard aware.
 
         A router backend reports per-shard circuit-breaker state: 200 while
@@ -619,7 +499,7 @@ class GatewayDaemon:
         answers at all.
         """
         try:
-            resp, _ = await self._exchange({"op": "health"})
+            resp, _ = self._exchange({"op": "health"})
         except _BackendEnvelope as exc:
             raise HttpError(
                 503,
@@ -640,20 +520,20 @@ class GatewayDaemon:
         body["status"] = "ok"
         return 200, "application/json", http.json_body(body), []
 
-    async def _r_catalog(self, request: Request) -> Tuple[int, str, bytes, list]:
-        resp, _ = await self._exchange({"op": "catalog"})
+    def _r_catalog(self, request: Request) -> Tuple[int, str, bytes, list]:
+        resp, _ = self._exchange({"op": "catalog"})
         body = {"status": "ok", "entries": resp.get("entries", [])}
         return 200, "application/json", http.json_body(body), []
 
-    async def _r_field(self, request: Request, field: str) -> Tuple[int, str, bytes, list]:
+    def _r_field(self, request: Request, field: str) -> Tuple[int, str, bytes, list]:
         if "step" in request.query:
             step = _parse_int(request.query["step"], "step")
-            resp, _ = await self._exchange(
+            resp, _ = self._exchange(
                 {"op": "describe", "field": field, "step": step}
             )
             body = {**resp, "field": field, "step": step}
             return 200, "application/json", http.json_body(body), []
-        resp, _ = await self._exchange({"op": "catalog"})
+        resp, _ = self._exchange({"op": "catalog"})
         rows = [
             row
             for row in resp.get("entries", [])
@@ -669,7 +549,7 @@ class GatewayDaemon:
         }
         return 200, "application/json", http.json_body(body), []
 
-    async def _r_read(
+    def _r_read(
         self, request: Request, field: str, step_text: str
     ) -> Tuple[int, str, Any, list]:
         step = _parse_int(step_text, "step")
@@ -691,7 +571,7 @@ class GatewayDaemon:
             header["bbox"] = _parse_bbox_param(request.query["bbox"])
         if "index" not in header and "bbox" not in header:
             header["index"] = index_to_wire(...)  # whole-array read
-        resp, payload = await self._exchange(header)
+        resp, payload = self._exchange(header)
 
         shape = [int(n) for n in resp.get("shape", [])]
         dtype = str(resp.get("dtype", "<f8"))
@@ -717,8 +597,8 @@ class GatewayDaemon:
         ]
         return 200, "application/octet-stream", payload, extra
 
-    async def _r_stats(self, request: Request) -> Tuple[int, str, bytes, list]:
-        resp, _ = await self._exchange({"op": "stats"})
+    def _r_stats(self, request: Request) -> Tuple[int, str, bytes, list]:
+        resp, _ = self._exchange({"op": "stats"})
         resp.pop("status", None)
         if request.query.get("format") == "prom":
             backend_metrics = resp.get("metrics") or []
@@ -745,7 +625,7 @@ class GatewayDaemon:
         """Gateway accounting: counters, per-client usage, pool state."""
         with self._lock:
             out: Dict[str, Any] = dict(self._counters)
-            out["active_connections"] = self._active
+            out["active_connections"] = len(self._connections)
             out["clients"] = {
                 key: dict(account) for key, account in self._clients.items()
             }
@@ -756,7 +636,7 @@ class GatewayDaemon:
     def _collect_families(self) -> list:
         with self._lock:
             counters = dict(self._counters)
-            active = self._active
+            active = len(self._connections)
             tracked = len(self._clients)
         pool = self._pool.stats()
         return [
@@ -793,8 +673,27 @@ class GatewayDaemon:
         ]
 
     def __repr__(self) -> str:
-        bound = f"at {self.address}" if self._thread is not None else "(not started)"
+        bound = f"at {self.address}" if self._listener is not None else "(not started)"
         return f"GatewayDaemon({self.spec.address} {bound})"
+
+
+def _lingering_close(conn: socket.socket) -> None:
+    """Half-close, then drain what the client already sent.
+
+    Closing a socket with unread input makes the kernel answer with a reset,
+    which can destroy a response still in flight to the client (a refused
+    oversized head, the 503 at capacity).  The FIN lets the client read to
+    EOF; the bounded drain swallows its unread request bytes before the
+    server closes the socket.
+    """
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        conn.settimeout(_LINGER_SECONDS)
+        for _ in range(_LINGER_READS):
+            if not conn.recv(65536):
+                break
+    except OSError:
+        pass
 
 
 # -- query-parameter parsing ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Minimal HTTP/1.1 primitives for the gateway — stdlib ``asyncio`` only.
+"""Minimal HTTP/1.1 primitives for the gateway — stdlib only.
 
 Just enough of RFC 9112 to front the wire protocol safely: GET requests with
 query strings, keep-alive, bounded request lines and header blocks, and a
@@ -11,14 +11,17 @@ clean 4xx/5xx with ``close``, never a hang: the protocol golden tests in
 renders it as the same JSON error envelope the wire protocol uses
 (``{"status": "error", "error_type": ..., "message": ...}``) so HTTP clients
 see exactly the typed errors socket clients do.
+
+Parsing is synchronous over a binary file (``conn.makefile("rb")`` in the
+gateway, :class:`io.BytesIO` in the golden tests): the gateway serves each
+connection on its own thread, so a blocking read stalls only that client.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, unquote
 
 __all__ = [
@@ -100,26 +103,24 @@ class Request:
         return "application/json" in accept.lower()
 
 
-async def _read_line(reader: asyncio.StreamReader, cap: int, status: int) -> bytes:
+def _read_line(fh: BinaryIO, cap: int, status: int) -> bytes:
     """One CRLF-terminated line within ``cap`` bytes, or a closing HttpError."""
-    try:
-        line = await reader.readline()
-    except ValueError:  # StreamReader limit overrun
-        raise HttpError(status, "request line or header line too long", close=True)
+    line = fh.readline(cap + 1)
     if len(line) > cap:
         raise HttpError(status, "request line or header line too long", close=True)
     return line
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+def read_request(fh: BinaryIO) -> Optional[Request]:
     """Parse one request head; ``None`` on clean EOF before any bytes.
 
     Raises :class:`HttpError` (always with ``close=True`` — a malformed head
     leaves the stream position unknowable) for anything the gateway refuses:
     oversized lines (414/431), malformed request lines or headers (400),
-    unsupported HTTP versions (505), and request bodies (413/501).
+    unsupported HTTP versions (505), and request bodies (413/501).  Socket
+    errors (timeouts included) propagate as ``OSError``.
     """
-    line = await _read_line(reader, MAX_REQUEST_LINE_BYTES, 414)
+    line = _read_line(fh, MAX_REQUEST_LINE_BYTES, 414)
     if not line:
         return None
     nbytes = len(line)
@@ -132,7 +133,7 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 
     headers: Dict[str, str] = {}
     while True:
-        line = await _read_line(reader, MAX_HEADER_BYTES, 431)
+        line = _read_line(fh, MAX_HEADER_BYTES, 431)
         nbytes += len(line)
         if line in (b"\r\n", b"\n"):
             break

@@ -9,10 +9,13 @@ ROADMAP names after the lazy view API: a view query is plain data
 ``(field, step, level, compiled index)``, so serving it is framing, not new
 read logic.
 
-The socket machinery lives in :class:`WireDaemon`, a dispatch-agnostic base
-class (bind/accept loop, per-connection workers, framed request handling,
-request tracing, access logging, graceful shutdown).  :class:`ReadDaemon`
-plugs the store read path into it; the shard router
+The server lifecycle lives in :class:`TCPServer` (bind, accept loop, one
+worker thread per connection, connection registry, graceful shutdown), the
+one base every repro server shares: :class:`WireDaemon` adds the framed
+request handling on top (request tracing, access logging), the HTTP gateway
+(:class:`repro.gateway.GatewayDaemon`) adds HTTP/1.1, and the chaos proxy
+(:class:`repro.chaos.ChaosProxy`) adds a faulty relay.  :class:`ReadDaemon`
+plugs the store read path into :class:`WireDaemon`; the shard router
 (:class:`repro.shard.RouterDaemon`) plugs a fan-out relay into the *same*
 base, so both ends of a routed request speak literally the same server code.
 
@@ -27,7 +30,7 @@ accounting (blocks touched / decoded / served from cache) is measured by a
 counting wrapper around the block source, so every ``read`` response reports
 exactly what it cost — the numbers ``repro store read --remote`` prints.
 
-Shutdown is graceful: :meth:`WireDaemon.stop` closes the listener and every
+Shutdown is graceful: :meth:`TCPServer.stop` closes the listener and every
 open connection, then joins the workers, so a test fixture (or ``repro
 serve`` under SIGINT) always exits cleanly.
 """
@@ -64,7 +67,7 @@ from repro.serve.protocol import (
     send_frame,
 )
 
-__all__ = ["WireDaemon", "ReadDaemon", "parse_address"]
+__all__ = ["TCPServer", "WireDaemon", "ReadDaemon", "parse_address"]
 
 log = logging.getLogger("repro.serve.daemon")
 
@@ -206,17 +209,15 @@ def _request_fields(header: Dict, response: Dict) -> Dict[str, Any]:
     return out
 
 
-class WireDaemon:
-    """Dispatch-agnostic framed-protocol server: the socket half of a daemon.
+class TCPServer:
+    """Threaded TCP server lifecycle shared by every repro server.
 
-    Owns the listener, the accept loop, per-connection worker threads, the
-    per-request trace/metric/log plumbing and graceful shutdown — everything
-    a :mod:`repro.serve.protocol` server needs except the meaning of a
-    request.  Subclasses implement :meth:`_dispatch` (one request header in,
-    one ``(response header, payload)`` out; every exception they let escape
-    is answered as a typed error response by their own dispatch wrapper) and
-    may extend :meth:`_collectors` with registry collectors that live exactly
-    as long as the daemon runs.
+    Owns the listener, the accept loop, one worker thread per connection,
+    the connection registry, graceful shutdown and the registry collectors
+    that live exactly as long as the server runs.  Subclasses implement
+    :meth:`_serve_connection` — one accepted socket plus its 0-based accept
+    index; the base closes the socket when the call returns — and may
+    extend :meth:`_collectors`.
 
     Parameters
     ----------
@@ -225,30 +226,13 @@ class WireDaemon:
         OS-assigned free port (read it back from :attr:`address`).
     backlog:
         Listen backlog of the accept socket.
-    tracer:
-        :class:`repro.obs.Tracer` recording request traces; defaults to the
-        process-wide :data:`repro.obs.TRACER`.  When enabled, every request
-        gets a ``request`` span (continuing the client's trace id when the
-        header carries one) and the request's spans return to the client in
-        the response header.
-    slow_ms:
-        Requests slower than this many milliseconds log a WARNING with the
-        request's accounting — visible even at the default verbosity.
     """
 
-    #: Thread name of the accept loop (overridden by subclasses for ps/py-spy).
-    _accept_thread_name = "repro-serve-accept"
+    #: Thread-name prefix (for ps/py-spy): ``<prefix>-accept`` runs the
+    #: accept loop, ``<prefix>-conn-<index>`` serves one connection.
+    _thread_name = "repro-serve"
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backlog: int = 32,
-        tracer=None,
-        slow_ms: Optional[float] = None,
-    ) -> None:
-        self.tracer = TRACER if tracer is None else tracer
-        self.slow_ms = None if slow_ms is None else float(slow_ms)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, backlog: int = 32) -> None:
         self._host = str(host)
         self._port = int(port)
         self._backlog = int(backlog)
@@ -259,23 +243,20 @@ class WireDaemon:
         self._collector_fns: list = []
         self._connections: set = set()  # repro: guarded-by(_lock)
         self._workers: list = []  # repro: guarded-by(_lock)
-        self._counters: Dict[str, int] = {  # repro: guarded-by(_lock)
-            "requests": 0,
-            "errors": 0,
-            "connections": 0,
-            "request_bytes_received": 0,
-        }
+        self._counters: Dict[str, int] = {"connections": 0}  # repro: guarded-by(_lock)
 
     # -- lifecycle ------------------------------------------------------------
     @property
     def address(self) -> str:
-        """``host:port`` the daemon is bound to (after :meth:`start`)."""
+        """``host:port`` the server is bound to (after :meth:`start`)."""
         if self._listener is None:
-            raise RuntimeError("daemon is not started; call start() first")
+            raise RuntimeError(
+                f"{type(self).__name__} is not started; call start() first"
+            )
         return f"{self._host}:{self._port}"
 
     def _collectors(self) -> List[Callable]:
-        """Registry collectors to expose for the daemon's lifetime."""
+        """Registry collectors to expose for the server's lifetime."""
         return []
 
     def start(self) -> str:
@@ -284,23 +265,30 @@ class WireDaemon:
             return self.address
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(self._backlog)
+        try:
+            listener.bind((self._host, self._port))
+            listener.listen(self._backlog)
+        except OSError:
+            listener.close()
+            raise
         self._host, self._port = listener.getsockname()[:2]
         self._listener = listener
         self._stop.clear()
-        # Expose the daemon's own accounting (and whatever shared machinery
+        # Expose the server's own accounting (and whatever shared machinery
         # the subclass wraps) through the process-wide registry for the
-        # lifetime of the daemon; stop() unregisters, so a stopped daemon
+        # lifetime of the server; stop() unregisters, so a stopped server
         # reports nothing.
         self._collector_fns = [
             REGISTRY.add_collector(fn, owner=self) for fn in self._collectors()
         ]
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=self._accept_thread_name, daemon=True
+            target=self._accept_loop, name=f"{self._thread_name}-accept", daemon=True
         )
         self._accept_thread.start()
-        log.debug("daemon started", extra=access_extra(address=self.address))
+        log.debug(
+            "server started",
+            extra=access_extra(server=type(self).__name__, address=self.address),
+        )
         return self.address
 
     def serve_forever(self, timeout: Optional[float] = None) -> None:
@@ -324,25 +312,13 @@ class WireDaemon:
             # shutdown() before close(): on Linux, close() alone does not
             # wake a thread blocked in accept() — the join below would then
             # burn its full timeout on every stop.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _close_socket(self._listener)
+        # _adopt() refuses sockets once the stop flag is set, so this
+        # snapshot is every socket that will ever need closing.
         with self._lock:
             conns = list(self._connections)
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close_socket(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout)
         with self._lock:
@@ -355,7 +331,7 @@ class WireDaemon:
         self._listener = None
         self._accept_thread = None
 
-    def __enter__(self) -> "WireDaemon":
+    def __enter__(self) -> "TCPServer":
         self.start()
         return self
 
@@ -363,6 +339,27 @@ class WireDaemon:
         self.stop()
 
     # -- accept / connection loops --------------------------------------------
+    def _adopt(self, sock: socket.socket, target: Callable, args: tuple, name: str) -> bool:
+        """Register ``sock`` and run ``target`` on a worker thread.
+
+        :meth:`stop` closes every registered socket and joins every worker.
+        Refused (``False``, nothing registered or started) once the stop
+        flag is set: stop() sets the flag before it snapshots the registry
+        under the same lock, so its snapshot misses nothing.  The worker
+        starts under the lock, so stop() never joins an unstarted thread.
+        """
+        with self._lock:
+            if self._stop.is_set():
+                return False
+            self._connections.add(sock)
+            # Workers that already finished are reaped here, so the list
+            # stays proportional to the live connection count.
+            self._workers = [w for w in self._workers if w.is_alive()]
+            worker = threading.Thread(target=target, args=args, name=name, daemon=True)
+            self._workers.append(worker)
+            worker.start()
+        return True
+
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
             try:
@@ -370,18 +367,88 @@ class WireDaemon:
             except OSError:
                 break  # listener closed by stop()
             with self._lock:
+                index = self._counters["connections"]
                 self._counters["connections"] += 1
-                self._connections.add(conn)
-                # Workers that already finished are reaped here, so the list
-                # stays proportional to the live connection count.
-                self._workers = [w for w in self._workers if w.is_alive()]
-                worker = threading.Thread(
-                    target=self._serve_connection, args=(conn,), daemon=True
-                )
-                self._workers.append(worker)
-            worker.start()
+            name = f"{self._thread_name}-conn-{index}"
+            if not self._adopt(conn, self._run_connection, (conn, index), name):
+                conn.close()
+                break
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def _run_connection(self, conn: socket.socket, index: int) -> None:
+        try:
+            self._serve_connection(conn, index)
+        finally:
+            try:
+                conn.close()
+            except OSError:
+                pass
+            with self._lock:
+                self._connections.discard(conn)
+
+    def _serve_connection(self, conn: socket.socket, index: int) -> None:
+        """Serve one accepted connection until it is done."""
+        raise NotImplementedError
+
+
+def _close_socket(sock: socket.socket) -> None:
+    """``shutdown`` then ``close``, swallowing the races of a dying socket.
+
+    ``shutdown`` takes effect even while another thread is blocked in
+    ``recv``/``accept`` on the same fd, so that thread wakes at once.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+class WireDaemon(TCPServer):
+    """Dispatch-agnostic framed-protocol server: the socket half of a daemon.
+
+    Adds to the :class:`TCPServer` lifecycle the framed request loop and the
+    per-request trace/metric/log plumbing — everything a
+    :mod:`repro.serve.protocol` server needs except the meaning of a
+    request.  Subclasses implement :meth:`_dispatch` (one request header in,
+    one ``(response header, payload)`` out; every exception they let escape
+    is answered as a typed error response by their own dispatch wrapper) and
+    may extend :meth:`_collectors` with registry collectors that live exactly
+    as long as the daemon runs.
+
+    Parameters
+    ----------
+    host / port / backlog:
+        See :class:`TCPServer`.
+    tracer:
+        :class:`repro.obs.Tracer` recording request traces; defaults to the
+        process-wide :data:`repro.obs.TRACER`.  When enabled, every request
+        gets a ``request`` span (continuing the client's trace id when the
+        header carries one) and the request's spans return to the client in
+        the response header.
+    slow_ms:
+        Requests slower than this many milliseconds log a WARNING with the
+        request's accounting — visible even at the default verbosity.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        backlog: int = 32,
+        tracer=None,
+        slow_ms: Optional[float] = None,
+    ) -> None:
+        super().__init__(host=host, port=port, backlog=backlog)
+        self.tracer = TRACER if tracer is None else tracer
+        self.slow_ms = None if slow_ms is None else float(slow_ms)
+        self._counters.update(
+            {"requests": 0, "errors": 0, "request_bytes_received": 0}
+        )
+
+    def _serve_connection(self, conn: socket.socket, index: int) -> None:
         fh = _CountingStream(conn.makefile("rb"))
         try:
             peer = "%s:%s" % conn.getpeername()[:2]
@@ -419,12 +486,6 @@ class WireDaemon:
                 fh.close()
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._lock:
-                self._connections.discard(conn)
             log.debug("connection closed", extra=access_extra(peer=peer))
 
     def _handle_request(self, conn: socket.socket, header: Dict, peer: str) -> bool:

@@ -52,6 +52,7 @@ __all__ = [
     "pack_frame",
     "frame_parts",
     "send_frame",
+    "send_buffers",
     "read_frame",
     "encode_ndarray",
     "decode_ndarray",
@@ -140,13 +141,22 @@ def send_frame(sock, header: Mapping[str, Any], payload: bytes = b"",
     """Write one frame to a socket with scatter-gather I/O; returns bytes sent.
 
     The head+header and the payload leave as separate buffers through
-    ``socket.sendmsg`` (with a ``sendall`` fallback for sockets that lack
-    it), so the payload — typically the C-order buffer of a whole result
-    array — is never copied into a concatenated frame.  Partial sends are
-    resumed until the frame is fully written; transport failures surface as
+    :func:`send_buffers`, so the payload — typically the C-order buffer of a
+    whole result array — is never copied into a concatenated frame.
+    """
+    return send_buffers(sock, frame_parts(header, payload, version))
+
+
+def send_buffers(sock, buffers) -> int:
+    """Write ``buffers`` back to back with ``socket.sendmsg``; returns bytes sent.
+
+    One ``sendmsg`` carries every buffer (with a ``sendall`` fallback for
+    sockets that lack it), so a small head and its body leave in one segment
+    instead of two writes stalling on Nagle plus delayed ACK.  Partial sends
+    are resumed until everything is written; transport failures surface as
     ``OSError`` exactly like ``sendall``.
     """
-    views = [memoryview(p).cast("B") for p in frame_parts(header, payload, version)]
+    views = [memoryview(p).cast("B") for p in buffers]
     views = [v for v in views if len(v)]
     sendmsg = getattr(sock, "sendmsg", None)
     total = 0

@@ -116,7 +116,7 @@ class RouterDaemon(WireDaemon):
         waiting for client traffic.  ``0`` disables the prober.
     """
 
-    _accept_thread_name = "repro-shard-router-accept"
+    _thread_name = "repro-shard-router"
 
     def __init__(
         self,

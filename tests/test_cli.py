@@ -198,8 +198,21 @@ class TestStoreCommands:
         with pytest.raises(SystemExit, match="bad daemon address"):
             main(["serve", str(root), "--addr", "nonsense"])
 
-    def test_serve_subprocess_sigterm_exits_cleanly(self, populated_store):
-        # The contract CI's smoke job relies on: a real `repro serve` process
+    @pytest.mark.parametrize(
+        "command, banner_word, stopped",
+        [
+            (["serve", "{root}", "--addr", "127.0.0.1:0"], "serving", "daemon stopped after"),
+            (["gateway", "{root}", "--http", "127.0.0.1:0"], "gateway for",
+             "gateway stopped after"),
+            (["chaos", "127.0.0.1:0", "{daemon}", "--script", "pass"], "chaos proxy for",
+             "chaos proxy stopped after"),
+        ],
+        ids=["serve", "gateway", "chaos"],
+    )
+    def test_serve_subprocess_sigterm_exits_cleanly(
+        self, populated_store, command, banner_word, stopped
+    ):
+        # The contract CI's smoke job relies on: a real server process
         # stops promptly with exit code 0 on SIGTERM, reporting its counters.
         import os
         import signal
@@ -208,30 +221,32 @@ class TestStoreCommands:
         from pathlib import Path
 
         import repro
+        from repro.gateway import open_http
+        from repro.serve import ReadDaemon, RemoteStore
 
         root, _ = populated_store
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(root),
-             "--addr", "127.0.0.1:0", "--seconds", "60"],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "serving" in banner
-            address = banner.split(" at ")[1].split(" ")[0]
-            from repro.serve import RemoteStore
-
-            with RemoteStore(address) as client:
-                assert "pressure" in client.fields()
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=15)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
+        with ReadDaemon(root) as upstream:
+            argv = [part.format(root=root, daemon=upstream.address) for part in command]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *argv, "--seconds", "60"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
+            )
+            try:
+                banner = proc.stdout.readline()
+                assert banner_word in banner
+                address = banner.split(" at ")[1].split(" ")[0]
+                connect = open_http if command[0] == "gateway" else RemoteStore
+                with connect(address) as client:
+                    assert "pressure" in client.fields()
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=15)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
         assert proc.returncode == 0
-        assert "daemon stopped" in out
+        assert stopped in out
 
     def test_store_read_bad_index_exits(self, populated_store, tmp_path):
         root, _ = populated_store

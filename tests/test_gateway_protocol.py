@@ -10,7 +10,7 @@ error messages both — against the socket client talking to the same daemon.
 
 from __future__ import annotations
 
-import asyncio
+import io
 import json
 import socket
 import threading
@@ -86,15 +86,8 @@ def parse_response(blob):
 
 
 def _parse(blob: bytes):
-    """Run the asyncio request parser over literal bytes."""
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(blob)
-        reader.feed_eof()
-        return await read_request(reader)
-
-    return asyncio.run(go())
+    """Run the request parser over literal bytes."""
+    return read_request(io.BytesIO(blob))
 
 
 class TestRequestParsing:
@@ -410,6 +403,43 @@ class TestGates:
             payload = json.loads(body)
             assert payload["error_type"] == "TimeoutError"
             assert headers["connection"] == "close"
+        finally:
+            daemon.stop()
+            backend.stop()
+
+    @pytest.mark.parametrize(
+        "slow_op, route, follow_up",
+        [("catalog", "/catalog", "/health"), ("health", "/health", "/catalog")],
+        ids=["catalog", "health"],
+    )
+    def test_timeout_504_frees_the_backend_lease(
+        self, serve_store, slow_op, route, follow_up
+    ):
+        """A 504 frees its lease at once: the next request is served, not queued.
+
+        With one pooled backend connection, a request sent right after a 504
+        gets a connection at once instead of waiting out the stalled
+        exchange.  A timed-out ``/health`` stays 504, not 503.
+        """
+
+        class Molasses(ReadDaemon):
+            def _dispatch(self, header):
+                if header.get("op") == slow_op:
+                    time.sleep(1.0)
+                return super()._dispatch(header)
+
+        backend = Molasses(serve_store)
+        backend.start()
+        daemon = GatewayDaemon(backend.address, pool_size=1, request_timeout=0.1)
+        daemon.start()
+        try:
+            got, _, body = parse_response(get(daemon.address, route))
+            assert got == 504
+            assert json.loads(body)["error_type"] == "TimeoutError"
+            started = time.perf_counter()
+            got, _, _ = parse_response(get(daemon.address, follow_up))
+            assert got == 200
+            assert time.perf_counter() - started < 0.5
         finally:
             daemon.stop()
             backend.stop()

@@ -321,6 +321,52 @@ class TestTracing:
             TRACER.clear()
 
 
+    def test_gateway_read_is_one_trace(self, serve_store):
+        # One HTTP read is one trace: the gateway's gateway_request root on
+        # the connection thread, its gateway_exchange, and the daemon's
+        # request span beneath that, all under one trace id.
+        from repro.gateway import GatewayDaemon, HTTPStore
+        from repro.serve import ReadDaemon
+
+        tracer = Tracer().enable()
+        with ReadDaemon(serve_store, tracer=tracer) as daemon, GatewayDaemon(
+            daemon.address, tracer=tracer
+        ) as gateway, HTTPStore(gateway.address) as client:
+            client["density", 0][0:4, 0:4, 0:4]
+            # The root closes just after the response leaves the gateway.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                match = [
+                    spans
+                    for spans in tracer.traces().values()
+                    if any(
+                        s["name"] == "gateway_request"
+                        and s["attrs"].get("route") == "read"
+                        for s in spans
+                    )
+                ]
+                if match:
+                    break
+                time.sleep(0.01)
+        assert len(match) == 1, "one gateway read must be exactly one trace"
+        spans = match[0]
+        ids = {s["span_id"]: s for s in spans}
+        by_name = {s["name"]: s for s in spans}
+        root = by_name["gateway_request"]
+        assert root["parent_id"] is None
+        assert root["attrs"]["status"] == 200
+
+        def ancestors(node):
+            names = []
+            while node["parent_id"] in ids:
+                node = ids[node["parent_id"]]
+                names.append(node["name"])
+            return names
+
+        assert ancestors(by_name["gateway_exchange"]) == ["gateway_request"]
+        assert ancestors(by_name["request"])[-2:] == ["gateway_exchange", "gateway_request"]
+
+
 # -- daemon reader LRU ---------------------------------------------------------
 
 

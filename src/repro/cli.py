@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-timeout",
         type=float,
         default=30.0,
-        help="seconds one HTTP request may take end to end before a 504 "
-        "(default 30)",
+        help="seconds one backend exchange may wait on the backend before "
+        "a 504 (default 30)",
     )
     gateway.add_argument(
         "--connect-retries",

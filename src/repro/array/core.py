@@ -207,8 +207,8 @@ class _PasteWindows:
     A many-small-blocks read plans thousands of paste windows; materialising
     every view (plus its slice tuple) up front would hold them all alive for
     the whole decode and show up as a near-array-sized tracemalloc peak.
-    Each access builds its window on demand, so at most one chunk's worth
-    exists at a time.
+    Each access builds its window on demand, so at most one decode batch's
+    worth exists at a time.
     """
 
     __slots__ = ("_out", "_bounds")
@@ -354,9 +354,9 @@ class CompressedArray:
             _READ_SECONDS.observe(time.perf_counter() - start)
             return out
         # Plan every paste in a handful of vectorised calls (no per-block
-        # Python arithmetic), then decode straight into the output windows:
-        # fully-covered blocks reconstruct in place, edge blocks paste only
-        # their overlap.  Windows are built lazily, one chunk at a time.
+        # Python arithmetic), then decode into the output windows: each codec
+        # batch reconstructs in a bounded scratch and pastes, edge blocks
+        # only their overlap.  Windows are built lazily, one batch at a time.
         dst_bounds, src_bounds, full = paste_slices_batch(coords, unit, bbox)
         dsts = _PasteWindows(out, dst_bounds)
         srcs = _PasteSources(src_bounds, full)

@@ -6,15 +6,37 @@ value-range-relative) point-wise error bound, returning an opaque buffer whose
 size defines the compression ratio, plus ``decompress`` back to the original
 shape.  A convenience :meth:`Compressor.roundtrip` bundles both directions
 with quality statistics, which is what every benchmark uses.
+
+Unit blocks come in runs of one shape, so the interface also has batch
+entry points — :meth:`Compressor.compress_batch`,
+:meth:`Compressor.decompress_batch` and
+:meth:`Compressor.decompress_batch_into`.  They split their input into
+:func:`batch_runs` and hand each run to a hook that by default loops over
+the per-array methods; a codec whose work batches (SZ3's interpolation
+traversal) overrides the hooks.  Either way a batch call returns exactly
+what the per-array calls would.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Type, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 import numpy as np
 
@@ -33,9 +55,29 @@ __all__ = [
     "register_compressor",
     "get_compressor",
     "available_compressors",
+    "batch_capacity",
+    "batch_runs",
+    "BATCH_BYTES",
 ]
 
 _HEADER_MAGIC = b"RPCA"  # "RePro Compressed Array"
+
+#: Byte budget of one batched codec call: each block is charged its decoded
+#: float64 bytes plus :data:`_BLOCK_OVERHEAD`.  A batched SZ3 traversal needs
+#: scratch of about four times the decoded bytes (reconstruction, codes and
+#: per-step temporaries), so the budget keeps a multi-block decode-into
+#: within a couple of MiB of its output while still amortising per-call
+#: dispatch over dozens of small blocks.
+BATCH_BYTES = 256 << 10
+
+#: What one parsed payload (header, metadata objects) holds while its batch
+#: is alive, about 1.5 KiB measured; it dominates for tiny unit sizes.
+_BLOCK_OVERHEAD = 2 << 10
+
+
+def batch_capacity(shape: Sequence[int]) -> int:
+    """Blocks of ``shape`` one batched call takes (at least one)."""
+    return max(1, BATCH_BYTES // (math.prod(shape) * 8 + _BLOCK_OVERHEAD))
 
 
 @dataclass
@@ -120,6 +162,30 @@ class CompressedArray:
             nbytes_original=int(meta["nbytes_original"]),
             metadata=meta.get("metadata", {}),
         )
+
+
+def batch_runs(items: Iterable[CompressedArray]) -> Iterator[List[CompressedArray]]:
+    """Split payloads into the runs one batched call decodes.
+
+    A run is a maximal stretch of consecutive payloads sharing codec and
+    :meth:`Compressor.batch_key`, capped at :func:`batch_capacity` blocks.
+    Runs are consecutive, so concatenating their outputs keeps the input
+    order, and ``items`` may be a lazy iterable: only one run's payloads are
+    held at a time.
+    """
+    run: List[CompressedArray] = []
+    run_key: Any = None
+    cap = 0
+    for item in items:
+        key = (item.codec, _codec_class(item.codec).batch_key(item))
+        if run and (len(run) >= cap or key != run_key):
+            yield run
+            run = []
+        if not run:
+            run_key, cap = key, batch_capacity(item.shape)
+        run.append(item)
+    if run:
+        yield run
 
 
 @dataclass
@@ -228,6 +294,92 @@ class Compressor(ABC):
         np.copyto(out, block if src is None else block[src])
         return out
 
+    # -- batches of same-shape arrays -----------------------------------------
+    @classmethod
+    def batch_key(cls, compressed: CompressedArray) -> object:
+        """What payloads must share to decode in one batched call.
+
+        Compared with ``==`` between neighbours only.  The default is the
+        shape; a codec whose batch hook shares decode parameters across the
+        batch adds them.
+        """
+        return tuple(compressed.shape)
+
+    def compress_batch(self, blocks: np.ndarray, error_bound: float) -> List[CompressedArray]:
+        """Compress each array of a ``(n, *shape)`` stack under one absolute bound.
+
+        Returns what ``[compress(block, error_bound) for block in blocks]``
+        would, byte for byte, in batches of :func:`batch_capacity` blocks.
+        """
+        arr = np.ascontiguousarray(np.asarray(blocks, dtype=np.float64))
+        if arr.ndim not in (2, 3, 4):
+            raise CompressionError(
+                f"{self.name} supports 1-3 dimensional data, got {arr.ndim - 1}D blocks"
+            )
+        if arr.shape[0] == 0:
+            return []
+        shape = arr.shape[1:]
+        if arr[0].size == 0:
+            raise CompressionError("cannot compress an empty array")
+        eb = float(error_bound)
+        if not (math.isfinite(eb) and eb > 0):
+            raise CompressionError(f"error bound must be finite and positive, got {eb}")
+        dtype = str(blocks.dtype if isinstance(blocks, np.ndarray) else arr.dtype)
+        cap = batch_capacity(shape)
+        out = []
+        for start in range(0, arr.shape[0], cap):
+            for payload, metadata in self._compress_batch_impl(arr[start : start + cap], eb):
+                out.append(CompressedArray(
+                    codec=self.name,
+                    payload=payload,
+                    shape=shape,
+                    dtype=dtype,
+                    error_bound=eb,
+                    nbytes_original=arr[0].size * 8,
+                    metadata=metadata,
+                ))
+        return out
+
+    def decompress_batch(self, items: Sequence[CompressedArray]) -> List[np.ndarray]:
+        """Reconstruct payloads of this codec, in order, one run at a time.
+
+        Equal to ``[decompress(c) for c in items]``.  No returned block is a
+        view into a buffer shared with other blocks, so caching one pins
+        only its own bytes.
+        """
+        self._check_codec(items)
+        out: List[np.ndarray] = []
+        for run in batch_runs(items):
+            out.extend(self._decompress_batch_impl(run))
+        return out
+
+    def decompress_batch_into(
+        self,
+        items: Sequence[CompressedArray],
+        outs: Sequence[np.ndarray],
+        srcs: Optional[Sequence] = None,
+    ) -> None:
+        """Reconstruct payloads into destinations: the batched :meth:`decompress_into`.
+
+        ``outs`` and ``srcs`` are sliced per run, so lazy window sequences
+        build only one run's views at a time.
+        """
+        self._check_codec(items)
+        start = 0
+        for run in batch_runs(items):
+            stop = start + len(run)
+            self._decompress_batch_into_impl(
+                run, outs[start:stop], None if srcs is None else srcs[start:stop]
+            )
+            start = stop
+
+    def _check_codec(self, items: Iterable[CompressedArray]) -> None:
+        for compressed in items:
+            if compressed.codec != self.name:
+                raise DecompressionError(
+                    f"payload was produced by {compressed.codec!r}, not {self.name!r}"
+                )
+
     def roundtrip(
         self,
         data: np.ndarray,
@@ -276,9 +428,33 @@ class Compressor(ABC):
         base class to copy.  The default defers to :meth:`_decompress_impl`."""
         return self._decompress_impl(compressed)
 
+    def _compress_batch_impl(
+        self, blocks: np.ndarray, error_bound: float
+    ) -> List[Tuple[bytes, Dict]]:
+        """``(payload, metadata)`` per array of a float64 stack of at most
+        :func:`batch_capacity` arrays.  The default loops over
+        :meth:`_compress_impl`."""
+        return [self._compress_impl(block, error_bound) for block in blocks]
+
+    def _decompress_batch_impl(self, run: List[CompressedArray]) -> List[np.ndarray]:
+        """Reconstruct one :func:`batch_runs` run into shaped arrays that
+        share no buffer.  The default loops over :meth:`_decompress_impl`."""
+        return [self._decompress_impl(c).reshape(c.shape) for c in run]
+
+    def _decompress_batch_into_impl(
+        self,
+        run: List[CompressedArray],
+        outs: Sequence[np.ndarray],
+        srcs: Optional[Sequence],
+    ) -> None:
+        """Reconstruct one run into its destinations.  The default loops
+        over :meth:`decompress_into`."""
+        for i, compressed in enumerate(run):
+            self.decompress_into(compressed, outs[i], src=None if srcs is None else srcs[i])
+
 
 # -- registry ----------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[..., Compressor]] = {}
+_REGISTRY: Dict[str, Type[Compressor]] = {}
 
 
 def register_compressor(name: str) -> Callable[[Type[Compressor]], Type[Compressor]]:
@@ -292,15 +468,18 @@ def register_compressor(name: str) -> Callable[[Type[Compressor]], Type[Compress
     return deco
 
 
-def get_compressor(name: str, **kwargs) -> Compressor:
-    """Instantiate a registered compressor by name (e.g. ``"sz3"``, ``"zfp"``)."""
+def _codec_class(name: str) -> Type[Compressor]:
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError as exc:
         raise UnknownCompressorError(
             f"unknown compressor {name!r}; available: {sorted(_REGISTRY)}"
         ) from exc
-    return factory(**kwargs)
+
+
+def get_compressor(name: str, **kwargs) -> Compressor:
+    """Instantiate a registered compressor by name (e.g. ``"sz3"``, ``"zfp"``)."""
+    return _codec_class(name)(**kwargs)
 
 
 def available_compressors() -> tuple:

@@ -12,12 +12,20 @@ The module exposes an :class:`InterpolationPlan` describing the exact
 traversal (anchor slices plus an ordered list of steps); compression and
 decompression iterate the same plan so the quantization-code stream needs no
 positional metadata.
+
+The traversal depends only on the shape, so plans are cached per shape and
+every slice is also provided in a *batched* form with a leading
+``slice(None)``: a stack of same-shape arrays on axis 0 is predicted in one
+pass by :func:`predict_step` with ``batched=True``.  Prediction is
+elementwise arithmetic on the same neighbours, so a batched pass is
+bit-identical to predicting each array on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -42,21 +50,33 @@ class InterpolationStep:
     ``target`` selects (as a tuple of slices) the points predicted in this
     step; the same slices are valid on the original and the reconstructed
     array because the traversal is defined purely by the array shape.
+    ``batched`` is ``target`` behind a leading ``slice(None)`` (the same
+    points of every array in a stack) and ``count`` the number of points one
+    array contributes — the length of this step's quantization-code segment.
     """
 
     level: int
     axis: int
     target: Tuple[slice, ...]
+    batched: Tuple[slice, ...]
+    count: int
 
 
 @dataclass(frozen=True)
 class InterpolationPlan:
-    """Full traversal: anchor slices, ordered steps and the level count."""
+    """Full traversal: anchor slices, ordered steps and the level count.
+
+    ``n_codes`` is the code count of one array (every point but the
+    anchors), and ``batched_anchor`` the anchor slices behind a leading
+    ``slice(None)``.
+    """
 
     shape: Tuple[int, ...]
     max_level: int
     anchor: Tuple[slice, ...]
     steps: Tuple[InterpolationStep, ...]
+    batched_anchor: Tuple[slice, ...]
+    n_codes: int
 
     @property
     def anchor_stride(self) -> int:
@@ -64,7 +84,7 @@ class InterpolationPlan:
 
     def n_targets(self, step: InterpolationStep) -> int:
         """Number of points predicted by ``step`` (needed by the decoder)."""
-        return int(np.prod([_slice_len(sl, n) for sl, n in zip(step.target, self.shape)]))
+        return step.count
 
 
 def _slice_len(sl: slice, n: int) -> int:
@@ -91,10 +111,19 @@ def max_interpolation_level(shape: Tuple[int, ...]) -> int:
 
 
 def build_plan(shape: Tuple[int, ...]) -> InterpolationPlan:
-    """Build the deterministic interpolation traversal for ``shape``."""
+    """The deterministic interpolation traversal for ``shape``.
+
+    Plans are frozen and cached per shape, so every block of a level shares
+    one.
+    """
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
         raise ValueError(f"invalid shape {shape}")
+    return _build_plan(shape)
+
+
+@lru_cache(maxsize=256)
+def _build_plan(shape: Tuple[int, ...]) -> InterpolationPlan:
     ndim = len(shape)
     max_level = max_interpolation_level(shape)
     anchor_stride = 1 << max_level
@@ -112,15 +141,22 @@ def build_plan(shape: Tuple[int, ...]) -> InterpolationPlan:
                     target.append(slice(s, None, 2 * s))
                 else:
                     target.append(slice(0, None, 2 * s))
-            step = InterpolationStep(level=level, axis=axis, target=tuple(target))
+            lengths = [_slice_len(sl, n) for sl, n in zip(target, shape)]
             # Skip degenerate steps with no targets (very anisotropic shapes).
-            if all(_slice_len(sl, n) > 0 for sl, n in zip(step.target, shape)):
-                steps.append(step)
-    return InterpolationPlan(shape=shape, max_level=max_level, anchor=anchor, steps=tuple(steps))
+            if all(lengths):
+                steps.append(InterpolationStep(
+                    level=level, axis=axis, target=tuple(target),
+                    batched=(slice(None),) + tuple(target), count=math.prod(lengths),
+                ))
+    n_anchors = math.prod(_slice_len(sl, n) for sl, n in zip(anchor, shape))
+    return InterpolationPlan(
+        shape=shape, max_level=max_level, anchor=anchor, steps=tuple(steps),
+        batched_anchor=(slice(None),) + anchor, n_codes=math.prod(shape) - n_anchors,
+    )
 
 
 def predict_step(
-    recon: np.ndarray, step: InterpolationStep, mode: str = "cubic"
+    recon: np.ndarray, step: InterpolationStep, mode: str = "cubic", batched: bool = False
 ) -> np.ndarray:
     """Predict the target points of ``step`` from already-reconstructed points.
 
@@ -128,19 +164,22 @@ def predict_step(
     points are interpolated (linearly or with the 4-point cubic kernel); the
     trailing points without an upper neighbour are extrapolated from the lower
     neighbour (constant extrapolation), reproducing original SZ3 behaviour.
+    With ``batched=True``, ``recon`` is a stack of arrays on axis 0 and the
+    result has the shape of ``recon[step.batched]``.
     """
     if mode not in INTERPOLATION_MODES:
         raise ValueError(f"mode must be one of {INTERPOLATION_MODES}, got {mode!r}")
-    axis = step.axis
+    target = step.batched if batched else step.target
+    axis = step.axis + 1 if batched else step.axis
     s = 1 << (step.level - 1)
 
-    target_view = recon[step.target]
+    target_view = recon[target]
     n_t = target_view.shape[axis]
     if n_t == 0:
         return np.empty(target_view.shape, dtype=np.float64)
 
     # Coarse-grid neighbours along `axis`: positions 0, 2s, 4s, ...
-    coarse_slices = list(step.target)
+    coarse_slices = list(target)
     coarse_slices[axis] = slice(0, None, 2 * s)
     coarse = recon[tuple(coarse_slices)]
 

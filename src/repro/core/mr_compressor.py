@@ -275,12 +275,13 @@ class MultiResolutionCompressor:
     ) -> List[CompressedArray]:
         """Encode every unit block into its own standalone payload, serially.
 
-        For pool-backed batch encoding use
-        :class:`repro.store.engine.CodecEngine`, which rebuilds this codec in
-        its workers from :meth:`codec_spec`.
+        The blocks go through the codec's batch hook, so SZ3 runs one
+        interpolation traversal per batch of blocks; the payloads equal
+        per-block ``compress`` calls byte for byte.  For pool-backed batch
+        encoding use :class:`repro.store.engine.CodecEngine`, which rebuilds
+        this codec in its workers from :meth:`codec_spec`.
         """
-        eb = float(error_bound)
-        return [self._codec.compress(block, eb) for block in block_set.blocks]
+        return self._codec.compress_batch(block_set.blocks, error_bound)
 
     def decode_unit_block(self, compressed: CompressedArray) -> np.ndarray:
         """Decode one standalone unit-block payload back to its array."""

@@ -1,29 +1,33 @@
-"""Parallel codec engine: batched block encode/decode through a pool.
+"""Codec engine: batched block encode/decode, serially or through a pool.
 
-Per-block encoding is embarrassingly parallel but the blocks are small
-(a 16^3 float64 block is 32 KiB), so submitting them one at a time to a
-process pool drowns the work in pickling and task dispatch.  The engine
-therefore *chunks* the blocks — each pool task encodes a contiguous slice of
-the block array with a codec rebuilt once per chunk — and flattens the
-results back into file order.  The same batching drives decode, so
-random-access reads that touch many blocks also scale with cores.
+Unit blocks are small (a 16^3 float64 block is 32 KiB) and a level's blocks
+share one shape, so the codec does its work in batches: the engine hands a
+whole run of same-shape blocks to the codec's batch hooks
+(:meth:`~repro.compressors.base.Compressor.compress_batch` and friends),
+which for SZ3 run one interpolation traversal per batch instead of one per
+block.  Decoding splits the payloads into
+:func:`~repro.compressors.base.batch_runs` — consecutive payloads of one
+codec, shape and decode metadata, capped by a decoded-bytes budget — and
+concatenates the outputs in file order.
 
+The serial backend is one batched call over everything.  The pool backends
+*chunk*: each task encodes or decodes a contiguous slice of the blocks with a
+codec rebuilt once per chunk, which amortises pool dispatch and pickling.
 The workers are module-level functions operating on plain picklable data
 (codec registry name + options, NumPy block arrays, payload byte strings),
 which is what allows the ``"process"`` executor; ``"thread"`` suits codecs
-that release the GIL, and ``"serial"`` is the zero-overhead default used by
-tests and single-core hosts.
+that release the GIL.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compressors.base import CompressedArray, Compressor, get_compressor
+from repro.compressors.base import CompressedArray, Compressor, batch_runs, get_compressor
 from repro.insitu.scheduler import EXECUTORS, default_workers, parallel_map
 from repro.obs import REGISTRY
 
@@ -45,7 +49,7 @@ def _encode_chunk(task: Tuple[str, dict, float, np.ndarray]) -> List[bytes]:
     """Worker: encode a chunk of unit blocks into standalone payload blobs."""
     kind, options, error_bound, blocks = task
     codec = get_compressor(kind, **options)
-    return [codec.compress(block, error_bound).to_bytes() for block in blocks]
+    return [c.to_bytes() for c in codec.compress_batch(blocks, error_bound)]
 
 
 def _decode_into_chunk(task) -> list:
@@ -55,22 +59,29 @@ def _decode_into_chunk(task) -> list:
     return []
 
 
+def _runs(payloads: Sequence[bytes]) -> Iterator[Tuple[Compressor, List[CompressedArray]]]:
+    """Parse payload blobs lazily into batch runs, each with its codec."""
+    codecs: Dict[str, Compressor] = {}
+    for run in batch_runs(CompressedArray.from_bytes(blob) for blob in payloads):
+        codec = codecs.get(run[0].codec)
+        if codec is None:
+            codec = codecs[run[0].codec] = get_compressor(run[0].codec)
+        yield codec, run
+
+
 def decode_payloads(payloads: Sequence[bytes]) -> List[np.ndarray]:
     """Decode standalone per-block payload blobs back to block arrays.
 
-    The single serial decode loop shared by the engine's pool workers and by
+    The one decode routine shared by the engine's pool workers and by
     engine-less readers (:class:`~repro.store.format.ContainerReader`), so
-    decode semantics cannot diverge between the two paths.  Module-level and
-    picklable on purpose: it doubles as the process-pool chunk worker.
+    decode semantics cannot diverge between the two paths.  Each run of
+    same-shape payloads is one batched codec call; every returned block owns
+    its memory.  Module-level and picklable on purpose: it doubles as the
+    process-pool chunk worker.
     """
-    codecs: Dict[str, Compressor] = {}
-    out = []
-    for blob in payloads:
-        compressed = CompressedArray.from_bytes(blob)
-        codec = codecs.get(compressed.codec)
-        if codec is None:
-            codec = codecs[compressed.codec] = get_compressor(compressed.codec)
-        out.append(codec.decompress(compressed))
+    out: List[np.ndarray] = []
+    for codec, run in _runs(payloads):
+        out.extend(codec.decompress_batch(run))
     return out
 
 
@@ -83,21 +94,19 @@ def decode_payloads_into(
 
     ``outs[i]`` receives the reconstruction of ``payloads[i]`` — restricted
     to the ``srcs[i]`` source window when given (edge blocks paste only their
-    overlap).  Codecs implementing the in-place hook reconstruct inside the
-    destination view with no per-block temporary; others decode then copy,
-    so the two entry points are always bit-for-bit identical.  Module-level
-    and loop-shaped like :func:`decode_payloads` on purpose: it is the
-    thread-pool chunk worker for :meth:`CodecEngine.decode_blocks_into`.
+    overlap).  A run of several blocks reconstructs in a bounded batch
+    scratch and is copied into its destinations; a lone block reconstructs
+    in place.  ``outs``/``srcs`` are sliced per run, so lazy window
+    sequences build one run's views at a time.  Module-level on purpose: it
+    is the thread-pool chunk worker for :meth:`CodecEngine.decode_blocks_into`.
     """
-    codecs: Dict[str, Compressor] = {}
-    for i, blob in enumerate(payloads):
-        compressed = CompressedArray.from_bytes(blob)
-        codec = codecs.get(compressed.codec)
-        if codec is None:
-            codec = codecs[compressed.codec] = get_compressor(compressed.codec)
-        codec.decompress_into(
-            compressed, outs[i], src=None if srcs is None else srcs[i]
+    start = 0
+    for codec, run in _runs(payloads):
+        stop = start + len(run)
+        codec.decompress_batch_into(
+            run, outs[start:stop], None if srcs is None else srcs[start:stop]
         )
+        start = stop
 
 
 class CodecEngine:
@@ -118,7 +127,9 @@ class CodecEngine:
     chunksize:
         Blocks per pool task; by default sized so every worker gets about
         four tasks (capped at 128 blocks), which balances load against
-        dispatch overhead.
+        dispatch overhead.  The serial backend does not chunk: chunks only
+        amortise pool dispatch, and in serial they would just shrink the
+        codec's batches.
     """
 
     def __init__(
@@ -157,6 +168,12 @@ class CodecEngine:
         return cls(codec=kind, codec_options=options, **kwargs)
 
     # -- batching -------------------------------------------------------------
+    def _task_bounds(self, n_items: int) -> List[Tuple[int, int]]:
+        """Serial: one task over everything; pools: :meth:`_chunk_bounds`."""
+        if self.executor == "serial":
+            return [(0, n_items)] if n_items else []
+        return self._chunk_bounds(n_items)
+
     def _chunk_bounds(self, n_items: int) -> List[Tuple[int, int]]:
         if self.chunksize is not None:
             size = self.chunksize
@@ -184,7 +201,7 @@ class CodecEngine:
         eb = float(error_bound)
         tasks = [
             (self.codec, self.codec_options, eb, blocks[a:b])
-            for a, b in self._chunk_bounds(blocks.shape[0])
+            for a, b in self._task_bounds(blocks.shape[0])
         ]
         start = time.perf_counter()
         out = self._run(_encode_chunk, tasks)
@@ -198,7 +215,7 @@ class CodecEngine:
             # Zero-copy fetch hands out memoryviews, which cannot cross a
             # process boundary; materialise them for pickling.
             payloads = [p if isinstance(p, bytes) else bytes(p) for p in payloads]
-        tasks = [payloads[a:b] for a, b in self._chunk_bounds(len(payloads))]
+        tasks = [payloads[a:b] for a, b in self._task_bounds(len(payloads))]
         start = time.perf_counter()
         out = self._run(decode_payloads, tasks)
         self._account("decode", len(payloads), time.perf_counter() - start)
@@ -213,8 +230,8 @@ class CodecEngine:
         """Decode payload blobs straight into preallocated destination views.
 
         The batched :func:`decode_payloads_into`: serial and thread backends
-        write into the shared destinations directly (NumPy assignments
-        release the GIL, so chunks overlap); the process backend cannot share
+        write into the shared destinations directly (thread chunks overlap
+        where NumPy releases the GIL); the process backend cannot share
         the caller's memory, so it falls back to :meth:`decode_blocks` plus
         one paste per block — same bytes, one extra touch.
         """
@@ -233,7 +250,7 @@ class CodecEngine:
         # window sequence that materialises destination views per access.
         tasks = [
             (payloads[a:b], outs[a:b], None if srcs is None else srcs[a:b])
-            for a, b in self._chunk_bounds(n)
+            for a, b in self._task_bounds(n)
         ]
         start = time.perf_counter()
         self._run(_decode_into_chunk, tasks)

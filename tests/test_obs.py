@@ -366,6 +366,32 @@ class TestTracing:
         assert ancestors(by_name["gateway_exchange"]) == ["gateway_request"]
         assert ancestors(by_name["request"])[-2:] == ["gateway_exchange", "gateway_request"]
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_local_read_splits_decode_into_entropy_and_interpolate(self, tmp_path, cached):
+        # Decode is not one opaque span: each codec batch (not each block)
+        # opens an entropy and an interpolate child of the read's decode
+        # span, and their blocks attributes add up to the blocks decoded.
+        from repro.compressors.base import batch_capacity
+
+        store = Store(tmp_path / "split", MultiResolutionCompressor(unit_size=4))
+        field = np.random.default_rng(5).normal(size=(36, 36, 36)).cumsum(axis=0)
+        store.append("f", 0, field, 0.05)
+        view = store["f", 0]
+        if not cached:
+            view.cache = None
+        tracer = Tracer().enable()
+        with tracer.trace("local_read") as root:
+            view[...]
+        spans = tracer.trace_spans(root.trace_id)
+        decodes = {s["span_id"]: s for s in spans if s["name"] == "decode"}
+        decoded = sum(s["attrs"]["blocks"] for s in decodes.values())
+        assert decoded == 9 ** 3
+        for name in ("entropy", "interpolate"):
+            children = [s for s in spans if s["name"] == name]
+            assert len(children) == -(-decoded // batch_capacity((4, 4, 4))) > 1
+            assert all(s["parent_id"] in decodes for s in children)
+            assert sum(s["attrs"]["blocks"] for s in children) == decoded
+
 
 # -- daemon reader LRU ---------------------------------------------------------
 
